@@ -1,65 +1,86 @@
-"""All-integer LLL on a Gram matrix (de Weger / Cohen's integral variant).
+"""All-integer LLL and size reduction on a Gram matrix (de Weger / Cohen's
+integral variant).
 
-Maintains the leading-minor sequence d and the integer Gram-Schmidt
-numerators lambda, so the whole run is exact integer arithmetic; the reduced
-Gram matrix is recomputed from the accumulated transform at the end.
+Both work on the leading-minor sequence d and the integer Gram-Schmidt
+numerators lambda of :func:`exactlin.integral_gram_schmidt`, so every step
+is exact integer arithmetic. They share one nearest-integer size-reduction
+step; the reduced Gram matrix is recomputed from the accumulated transform
+by the caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotPositiveDefiniteError
+from .exactlin import identity_matrix, integral_gram_schmidt
+
+
+def _reduce_step(d, lam, t, k, l, t_inv=None):
+    """Size-reduce basis vector k against vector l < k: b_k -= r b_l with
+    r the nearest integer to lam[k][l] / d[l + 1] (halves round up).
+
+    Updates lam row k, the columns of t and, if given, the rows of
+    t_inv = t^-1. Returns whether anything changed.
+    """
+    lkl = lam[k][l]
+    dl = d[l + 1]
+    if 2 * abs(lkl) <= dl:
+        return False
+    r = (2 * lkl + dl) // (2 * dl)
+    for row in t:
+        row[k] -= r * row[l]
+    if t_inv is not None:
+        t_inv[l] = [x + r * y for x, y in zip(t_inv[l], t_inv[k])]
+    lam[k][l] = lkl - r * dl
+    lam_k, lam_l = lam[k], lam[l]
+    for j in range(l):
+        lam_k[j] -= r * lam_l[j]
+    return True
+
+
+def size_reduce_tail(a, start):
+    """Transform that size-reduces basis vectors start..n-1 against all
+    earlier ones; earlier vectors are untouched. Returns None when every
+    coefficient is already within 1/2.
+    """
+    n = len(a)
+    d, lam = integral_gram_schmidt(a)
+    r = [list(row) for row in identity_matrix(n)]
+    changed = False
+    for i in range(start, n):
+        for j in range(i - 1, -1, -1):
+            changed |= _reduce_step(d, lam, r, i, j)
+    if not changed:
+        return None
+    return tuple(tuple(row) for row in r)
+
 
 def lll_transform(a, delta=Fraction(3, 4)):
     """Reduce the integer Gram matrix ``a``.
 
-    Returns (u, swaps) where u is the unimodular transform whose columns
-    are the reduced basis in input coordinates (reduced Gram = u^T a u).
+    Returns (t, swaps, t_inv): t is the unimodular transform whose columns
+    are the reduced basis in input coordinates (reduced Gram = t^T a t),
+    and t_inv its inverse, built by the matching row operations.
     Raises NotPositiveDefiniteError when a leading minor is <= 0.
     """
     n = len(a)
     delta = Fraction(delta)
     p, q = delta.numerator, delta.denominator
-
-    dd = [0] * (n + 1)
-    dd[0] = 1
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = a[i][j]
-            for k in range(j):
-                u = (dd[k + 1] * u - lam[i][k] * lam[j][k]) // dd[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                if u <= 0:
-                    raise NotPositiveDefiniteError(i)
-                dd[i + 1] = u
-
+    dd, lam = integral_gram_schmidt(a)
     # transform columns are basis vectors; column ops mirror basis ops
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def reduce_pair(k, l):
-        lkl = lam[k][l]
-        dl = dd[l + 1]
-        if 2 * abs(lkl) > dl:
-            r = (2 * lkl + dl) // (2 * dl)
-            for s in range(n):
-                t[s][k] -= r * t[s][l]
-            lam[k][l] = lkl - r * dl
-            for j in range(l):
-                lam[k][j] -= r * lam[l][j]
+    t = [list(row) for row in identity_matrix(n)]
+    t_inv = [list(row) for row in identity_matrix(n)]
 
     swaps = 0
     k = 1
     while k < n:
-        reduce_pair(k, k - 1)
+        _reduce_step(dd, lam, t, k, k - 1, t_inv)
         lkl = lam[k][k - 1]
         if q * (dd[k + 1] * dd[k - 1] + lkl * lkl) < p * dd[k] * dd[k]:
             # swap basis vectors k-1 and k
-            for s in range(n):
-                t[s][k], t[s][k - 1] = t[s][k - 1], t[s][k]
+            for row in t:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            t_inv[k], t_inv[k - 1] = t_inv[k - 1], t_inv[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             b = (dd[k - 1] * dd[k + 1] + lkl * lkl) // dd[k]
@@ -72,7 +93,7 @@ def lll_transform(a, delta=Fraction(3, 4)):
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                reduce_pair(k, l)
+                _reduce_step(dd, lam, t, k, l, t_inv)
             k += 1
 
-    return tuple(tuple(row) for row in t), swaps
+    return tuple(tuple(row) for row in t), swaps, tuple(tuple(row) for row in t_inv)

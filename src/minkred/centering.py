@@ -120,9 +120,11 @@ def check_theorem_bound(g: GramMatrix) -> TheoremReport:
 
 def merge_theorem_reports(reports: Sequence[TheoremReport]) -> TheoremReport:
     """Order-independent aggregation of per-instance reports."""
-    assert reports
+    if not reports:
+        raise ValueError("no theorem reports to merge")
     dims = {r.dimension for r in reports}
-    assert len(dims) == 1
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"reports of mixed dimensions {sorted(dims)}")
     bound = reports[0].bound
     bad = []
     for r in reports:

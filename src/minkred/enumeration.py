@@ -1,10 +1,11 @@
 """Exact short-vector enumeration and primitivity machinery.
 
-The enumeration core is a Fincke-Pohst recursion over the fraction-free
-(Bareiss) decomposition of the scaled integer Gram matrix: every pruning
-bound is an integer square root of an exact rational, so no decision ever
-touches floating point. Ill-conditioned inputs are LLL-preprocessed
-internally and witnesses mapped back, which changes nothing observable.
+The enumeration core is a Fincke-Pohst recursion over the integral
+Gram-Schmidt quantities (d, lambda) of the scaled integer Gram matrix:
+every pruning bound is an integer square root of an exact rational, so no
+decision ever touches floating point. Every search runs on the LLL view of
+the form, built once per GramMatrix and cached on it, and witnesses are
+mapped back, which changes nothing observable.
 """
 
 from __future__ import annotations
@@ -13,24 +14,19 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Sequence
 
-from ._lll import lll_transform
-from .errors import (
-    DependentVectorsError,
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-    NotPrimitiveError,
-)
+from ._lll import lll_transform, size_reduce_tail
+from .errors import DependentVectorsError, DimensionMismatchError, NotPrimitiveError
 from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
     evaluate_form,
-    int_matrix_inverse,
     int_matrix_rank,
+    integral_gram_schmidt,
     mat_mul,
     mat_vec,
-    require_positive_definite,
     smith_normal_form,
+    transform_gram_int,
 )
 from .tables import canonical_sign
 
@@ -60,27 +56,6 @@ def vector_key(coords):
 # ---------------------------------------------------------------------------
 # core enumeration
 
-def _fp_context(a):
-    """Bareiss upper rows and leading minors of an integer PD matrix.
-
-    With u the frozen elimination rows and m the minors (m[0] = 1),
-    x^T A x = sum_k (sum_{j>=k} u[k][j] x_j)^2 / (m[k+1] m[k]).
-    """
-    n = len(a)
-    w = [list(row) for row in a]
-    m = [1] * (n + 1)
-    for k in range(n):
-        piv = w[k][k]
-        if piv <= 0:
-            raise NotPositiveDefiniteError(k)
-        m[k + 1] = piv
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * piv - w[i][k] * w[k][j]) // m[k]
-            w[i][k] = 0
-    return w, m
-
-
 def _quad_int_range(c_num, c_den, t_num, t_den):
     """Integer solutions of (x + c_num/c_den)^2 <= t_num/t_den, as [lo, hi].
 
@@ -103,7 +78,8 @@ def _enumerate_core(a, bound_num, bound_den, parity=None, shrink=False):
     Returns a list of (coords, q) with q = x^T A x an int.
     """
     n = len(a)
-    u_rows, m = _fp_context(a)
+    d, lam = integral_gram_schmidt(a)
+    lam_cols = tuple(zip(*lam))  # lam_cols[j][i] = lam[i][j]
     results: list[tuple[tuple[int, ...], int]] = []
     best = [None]
     x = [0] * n
@@ -129,13 +105,13 @@ def _enumerate_core(a, bound_num, bound_den, parity=None, shrink=False):
         rem_den = ed * s_den
         if rem_num < 0:
             return
-        u_row = u_rows[j]
+        lam_j = lam_cols[j]
         c = 0
         for i in range(j + 1, n):
             if x[i]:
-                c += u_row[i] * x[i]
-        mj1 = m[j + 1]
-        lo, hi = _quad_int_range(c, mj1, rem_num * m[j], rem_den * mj1)
+                c += lam_j[i] * x[i]
+        dj1 = d[j + 1]
+        lo, hi = _quad_int_range(c, dj1, rem_num * d[j], rem_den * dj1)
         if tail_zero and lo < 0:
             lo = 0
         if parity is not None:
@@ -164,11 +140,11 @@ def _enumerate_core(a, bound_num, bound_den, parity=None, shrink=False):
                 else:
                     results.append((tuple(x), q))
             else:
-                w = mj1 * xj + c
+                w = dj1 * xj + c
                 descend(
                     j - 1,
-                    s_num * mj1 * m[j] + s_den * w * w,
-                    s_den * mj1 * m[j],
+                    s_num * dj1 * d[j] + s_den * w * w,
+                    s_den * dj1 * d[j],
                     tz,
                 )
         x[j] = 0
@@ -181,15 +157,19 @@ class _ReducedView(NamedTuple):
     a_red: IntMatrix       # U^T A U, integer
     den: int               # original G = A / den
     transform: IntMatrix   # columns = reduced basis in original coords
+    inverse: IntMatrix     # transform^-1: original coords -> reduced coords
 
 
 def _reduced_view(g: GramMatrix) -> _ReducedView:
-    require_positive_definite(g)
-    a, den = g.scaled()
-    t, _ = lll_transform(a)
-    at = mat_mul(a, t)
-    a_red = mat_mul(tuple(zip(*t)), at)
-    return _ReducedView(tuple(tuple(r) for r in a_red), den, t)
+    """The LLL view of g, built on first use and cached on g (which is
+    immutable). Raises NotPositiveDefiniteError for a form that is not PD."""
+    view = object.__getattribute__(g, "_view")
+    if view is None:
+        a, den = g.scaled()
+        t, _, t_inv = lll_transform(a)
+        view = _ReducedView(transform_gram_int(a, t), den, t, t_inv)
+        object.__setattr__(g, "_view", view)
+    return view
 
 
 def _map_back(view: _ReducedView, coords):
@@ -310,8 +290,12 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
     if not is_primitive_system(rows):
         raise NotPrimitiveError("partial system is not primitive")
     completion = complete_to_basis(rows, n)
-    w = _babai_reduce_against(g, completion, k)
-    cap = evaluate_form(g, w)  # guaranteed-feasible radius
+    # size-reduce the completion against the partial system: its column k
+    # stays a feasible extension, and only sets the search cap
+    r = size_reduce_tail(transform_gram_int(g.scaled()[0], completion), k)
+    if r:
+        completion = mat_mul(completion, r)
+    cap = evaluate_form(g, [row[k] for row in completion])  # guaranteed-feasible radius
     view = _reduced_view(g)
     radius = F(min(view.a_red[i][i] for i in range(n)), view.den)
     while True:
@@ -333,41 +317,6 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
         radius *= 2
 
 
-def _babai_reduce_against(g: GramMatrix, completion, k):
-    """Size-reduce column k of a completion against the first k columns
-    (nearest-integer Gram-Schmidt), shrinking the feasible search radius."""
-    n = g.n
-    cols = [tuple(completion[i][j] for i in range(n)) for j in range(k + 1)]
-
-    def inner(u, v):
-        return sum(g.rows[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
-
-    mu = [[F(0)] * k for _ in range(k + 1)]
-    bstar = [F(0)] * k
-    for i in range(k):
-        for j in range(i):
-            mu[i][j] = (
-                inner(cols[i], cols[j])
-                - sum(mu[i][l] * mu[j][l] * bstar[l] for l in range(j))
-            ) / bstar[j]
-        bstar[i] = inner(cols[i], cols[i]) - sum(
-            mu[i][j] ** 2 * bstar[j] for j in range(i)
-        )
-    for j in range(k):
-        mu[k][j] = (
-            inner(cols[k], cols[j])
-            - sum(mu[k][l] * mu[j][l] * bstar[l] for l in range(j))
-        ) / bstar[j]
-    target = list(cols[k])
-    for j in range(k - 1, -1, -1):
-        q = round(mu[k][j])
-        if q:
-            target = [a - q * b for a, b in zip(target, cols[j])]
-            for l in range(j):
-                mu[k][l] -= q * mu[j][l]
-    return tuple(target)
-
-
 def coset_minima(g: GramMatrix, parity: Sequence[int]):
     """Shortest vectors of the coset {v : v = parity mod 2} of L/2L.
 
@@ -383,8 +332,7 @@ def coset_minima(g: GramMatrix, parity: Sequence[int]):
         raise ValueError("parity class must be nonzero")
     view = _reduced_view(g)
     # transform parity into reduced coordinates: x = T y, so y = T^-1 x (mod 2)
-    tinv = int_matrix_inverse(view.transform)
-    par_red = tuple(int(sum(tinv[i][j] * par[j] for j in range(n))) % 2 for i in range(n))
+    par_red = tuple(y % 2 for y in mat_vec(view.inverse, par))
     a = view.a_red
     rep = par_red
     bound = 0

@@ -1,5 +1,6 @@
-"""Exact rational linear algebra: quadratic forms, LDL, determinants,
-Smith normal form and unimodular basis changes.
+"""Exact rational linear algebra: quadratic forms, LDL, the integral
+Gram-Schmidt kernel, determinants, Smith normal form and unimodular basis
+changes.
 
 No floating point anywhere; every comparison in this package that decides
 anything goes through Fraction or int arithmetic.
@@ -38,7 +39,7 @@ class GramMatrix:
     hashable.
     """
 
-    __slots__ = ("n", "rows", "_scaled", "_first_bad_pivot")
+    __slots__ = ("n", "rows", "_scaled", "_first_bad_pivot", "_view")
 
     def __init__(self, rows):
         frac_rows = _as_frac_rows(rows)
@@ -56,6 +57,7 @@ class GramMatrix:
         object.__setattr__(self, "rows", frac_rows)
         object.__setattr__(self, "_scaled", None)
         object.__setattr__(self, "_first_bad_pivot", -2)  # -2 = not computed
+        object.__setattr__(self, "_view", None)  # LLL view, see enumeration
 
     def __setattr__(self, name, value):
         raise AttributeError("GramMatrix is immutable")
@@ -234,26 +236,6 @@ def is_unimodular(t) -> bool:
     return int_determinant(rows) in (1, -1)
 
 
-def int_matrix_inverse(t: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (again integer)."""
-    n = len(t)
-    det = int_determinant(t)
-    if det not in (1, -1):
-        raise NotUnimodularError(f"determinant is {det}, expected +-1")
-    # adjugate / det; n <= ~12 so cofactor expansion via minors is fine
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [t[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            cof = int_determinant(minor) if minor else 1
-            row.append((-1) ** (i + j) * cof // det)
-        inv.append(tuple(row))
-    return tuple(inv)
-
-
 # ---------------------------------------------------------------------------
 # quadratic form operations
 
@@ -303,27 +285,51 @@ def ldl_decompose(g: GramMatrix) -> tuple[FracMatrix, tuple[Fraction, ...]]:
     return tuple(tuple(r) for r in L), tuple(D)
 
 
+def integral_gram_schmidt(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Cohen's integral Gram-Schmidt quantities of an integer PD matrix.
+
+    Returns (d, lam): d[0] = 1 and d[k + 1] is the k-th leading principal
+    minor, so the k-th LDL pivot is d[k + 1] / d[k]; lam[i][j] (j < i) is
+    d[j + 1] times the Gram-Schmidt coefficient mu[i][j], an integer. With
+    lam[k][k] := d[k + 1],
+    x^T A x = sum_k (sum_{i>=k} lam[i][k] x_i)^2 / (d[k + 1] d[k]).
+    Every division is exact. Raises NotPositiveDefiniteError(k) at the
+    first leading minor d[k + 1] <= 0.
+    """
+    n = len(a)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        lam_i = lam[i]
+        for j in range(i + 1):
+            lam_j = lam[j]
+            u = a[i][j]
+            for k in range(j):
+                u = (d[k + 1] * u - lam_i[k] * lam_j[k]) // d[k]
+            if j < i:
+                lam_i[j] = u
+            elif u <= 0:
+                raise NotPositiveDefiniteError(i)
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
 def first_nonpositive_pivot(g: GramMatrix) -> Optional[int]:
     """Index of the first LDL pivot <= 0, or None if G is positive definite.
 
-    Stops at the offending pivot, so it never divides by a bad one.
+    Pivot k has the sign of the k-th leading minor of the scaled integer
+    Gram once the earlier minors are positive, so the integral kernel
+    decides it and stops at the offending minor.
     """
     cached = object.__getattribute__(g, "_first_bad_pivot")
     if cached != -2:
         return cached
-    n = g.n
-    rows = g.rows
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    result = None
-    for j in range(n):
-        d = rows[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if d <= 0:
-            result = j
-            break
-        D[j] = d
-        for i in range(j + 1, n):
-            L[i][j] = (rows[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / d
+    try:
+        integral_gram_schmidt(g.scaled()[0])
+        result = None
+    except NotPositiveDefiniteError as err:
+        result = err.pivot_index
     object.__setattr__(g, "_first_bad_pivot", result)
     return result
 

@@ -12,18 +12,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._lll import lll_transform
+from ._lll import lll_transform, size_reduce_tail
 from .enumeration import (
     _enumerate_core,
     _map_back,
     _reduced_view,
     complete_to_basis,
+    is_primitive_system,
     lattice_minimum,
     shortest_primitive_extension,
     vector_key,
 )
 from .errors import (
-    NotPositiveDefiniteError,
+    DependentVectorsError,
     ReductionCapError,
     UnsupportedDimensionError,
 )
@@ -118,45 +119,6 @@ def _check_table_dim(n: int) -> None:
             f"table check covers dimensions {MIN_TABLE_DIM}..{MAX_TABLE_DIM}, got {n}"
             " (use the definitional check instead)"
         )
-
-
-def _size_reduce_tail(a, start):
-    """Transform that size-reduces basis vectors start..n-1 against all
-    earlier ones (integral Gram-Schmidt rounding); earlier vectors are
-    untouched. Keeps replacement completions from blowing up across fixes.
-    """
-    n = len(a)
-    dd = [0] * (n + 1)
-    dd[0] = 1
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = a[i][j]
-            for k in range(j):
-                u = (dd[k + 1] * u - lam[i][k] * lam[j][k]) // dd[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                if u <= 0:
-                    raise NotPositiveDefiniteError(i)
-                dd[i + 1] = u
-    r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    changed = False
-    for i in range(start, n):
-        for j in range(i - 1, -1, -1):
-            lij = lam[i][j]
-            dj = dd[j + 1]
-            if 2 * abs(lij) > dj:
-                q = (2 * lij + dj) // (2 * dj)
-                for s in range(n):
-                    r[s][i] -= q * r[s][j]
-                lam[i][j] = lij - q * dj
-                for jj in range(j):
-                    lam[i][jj] -= q * lam[j][jj]
-                changed = True
-    if not changed:
-        return None
-    return tuple(tuple(row) for row in r)
 
 
 def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
@@ -276,7 +238,8 @@ def minkowski_reduce(g: GramMatrix) -> ReductionReport:
         c = complete_to_basis(prefix + [u], n)
         a = [list(row) for row in transform_gram_int(a, c)]
         t = [list(row) for row in mat_mul(t, c)]
-        r = _size_reduce_tail(a, k + 1)
+        # keeps replacement completions from blowing up across fixes
+        r = size_reduce_tail(a, k + 1)
         if r is not None:
             a = [list(row) for row in transform_gram_int(a, r)]
             t = [list(row) for row in mat_mul(t, r)]
@@ -314,7 +277,7 @@ def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
         raise ValueError(f"delta must satisfy 1/4 < delta <= 1, got {delta}")
     require_positive_definite(g)
     a, den = g.scaled()
-    t, swaps = lll_transform(a, delta)
+    t, swaps, _ = lll_transform(a, delta)
     reduced_int = transform_gram_int(a, t)
     reduced = GramMatrix([[F(x, den) for x in row] for row in reduced_int])
     return ReductionReport(reduced, t, swaps, ())
@@ -345,8 +308,6 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
         return WitnessSearchResult(None, None, 0, budget)
 
     nodes = 0
-    from .enumeration import is_primitive_system
-    from .errors import DependentVectorsError
 
     def primitive(rows):
         try:

@@ -11,7 +11,7 @@ from minkred.centering import (
     merge_theorem_reports,
 )
 from minkred.corpus import E8_STAR_COORDS, named_lattice
-from minkred.errors import DependentVectorsError, NotReducedError
+from minkred.errors import DependentVectorsError, DimensionMismatchError, NotReducedError
 from minkred.exactlin import GramMatrix, identity_matrix, int_determinant
 from minkred.reduction import minkowski_reduce
 from minkred.tables import centering_classes
@@ -196,3 +196,13 @@ class TestTheoremBound:
         assert merged.max_abs_coordinate_seen == max(
             a.max_abs_coordinate_seen, b.max_abs_coordinate_seen
         )
+
+    def test_merge_rejects_empty(self):
+        with pytest.raises(ValueError):
+            merge_theorem_reports([])
+
+    def test_merge_rejects_mixed_dimensions(self):
+        a = check_theorem_bound(GramMatrix(identity_matrix(3)))
+        b = check_theorem_bound(GramMatrix(identity_matrix(4)))
+        with pytest.raises(DimensionMismatchError):
+            merge_theorem_reports([a, b])

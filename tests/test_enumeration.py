@@ -28,29 +28,10 @@ from minkred.exactlin import (
     mat_mul,
 )
 
-from _oracles import brute_coset_minima, brute_minimum, brute_short_vectors, xgcd
+from _generators import random_pd_gram, random_unimodular
+from _oracles import brute_coset_minima, brute_minimum, brute_short_vectors, gram_inverse
 
 F = Fraction
-
-
-def random_pd_gram(rng, n, spread=3):
-    a = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
-    return GramMatrix(
-        [
-            [sum(a[k][i] * a[k][j] for k in range(n)) + (2 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
-def random_unimodular(rng, n, ops=None):
-    t = [list(r) for r in identity_matrix(n)]
-    for _ in range(ops if ops is not None else 3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-3, 3)
-        for s in range(n):
-            t[i][s] += c * t[j][s]
-    return tuple(tuple(r) for r in t)
 
 
 class TestEnumerate:
@@ -92,12 +73,24 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_skewed_inputs_still_complete(self, seed):
+        # The box oracle runs on the unskewed base, whose box is small: with
+        # g = T^T base T, Q_g(x) = Q_base(T x), so each y maps to x = T^-1 y.
         rng = random.Random(seed + 100)
         n = rng.randint(2, 3)
         base = random_pd_gram(rng, n)
-        g = apply_transform(base, random_unimodular(rng, n))
+        t = random_unimodular(rng, n)
+        g = apply_transform(base, t)
         bound = min(base[i, i] for i in range(n))
-        expected = brute_short_vectors(g.rows, bound)
+        t_inv = gram_inverse(t)
+        expected = []
+        for y, q in brute_short_vectors(base.rows, bound):
+            x = [sum(t_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
+            assert all(v.denominator == 1 for v in x)
+            x = tuple(int(v) for v in x)
+            if next(v for v in x if v) < 0:
+                x = tuple(-v for v in x)
+            expected.append((x, q))
+        expected.sort(key=lambda e: (e[1], e[0]))
         got = [(v, q) for v, q in enumerate_short_vectors(g, bound).vectors]
         assert got == expected
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from minkred.errors import (
     DependentVectorsError,
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     NotSymmetricError,
     NotUnimodularError,
 )
@@ -20,7 +21,7 @@ from minkred.exactlin import (
     gram_from_basis,
     identity_matrix,
     int_determinant,
-    int_matrix_inverse,
+    integral_gram_schmidt,
     is_positive_definite,
     ldl_decompose,
     mat_mul,
@@ -29,6 +30,7 @@ from minkred.exactlin import (
 )
 from minkred.corpus import example9_gram, example9_embedded
 
+from _generators import random_generic_gram, random_unimodular
 from _oracles import frac_det_gauss, minor_pivots, snf_divisors_via_minors, eval_q
 
 
@@ -46,16 +48,6 @@ def recompose(L, D):
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
 )
-
-
-def random_pd_gram(rng, n, spread=4):
-    # A^T A + I is always PD
-    a = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
-    g = [
-        [sum(a[k][i] * a[k][j] for k in range(n)) + (1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return GramMatrix(g)
 
 
 class TestLDL:
@@ -81,7 +73,7 @@ class TestLDL:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.randoms(use_true_random=False))
     def test_recompose_random_pd(self, n, rng):
-        g = random_pd_gram(rng, n)
+        g = random_generic_gram(rng, n, spread=4)
         L, D = ldl_decompose(g)
         assert recompose(L, D) == [list(r) for r in g.rows]
 
@@ -92,11 +84,21 @@ class TestLDL:
         sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
         g = GramMatrix(sym)
         pivots = minor_pivots(sym)
+        try:
+            d, _ = integral_gram_schmidt(sym)
+            kernel_bad = None
+        except NotPositiveDefiniteError as err:
+            kernel_bad = err.pivot_index
         if pivots is None:
             # a leading minor vanished; the form is certainly not PD
             assert not is_positive_definite(g)
+            assert kernel_bad is not None
         else:
             assert is_positive_definite(g) == all(p > 0 for p in pivots)
+            first_bad = next((k for k, p in enumerate(pivots) if p <= 0), None)
+            assert kernel_bad == first_bad
+            if first_bad is None:
+                assert [F(d[k + 1], d[k]) for k in range(n)] == pivots
 
     def test_first_bad_pivot_index(self):
         assert first_nonpositive_pivot(GramMatrix([[1, 0], [0, -1]])) == 1
@@ -131,7 +133,7 @@ class TestEvaluateForm:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 4), st.randoms(use_true_random=False))
     def test_even_in_x(self, n, rng):
-        g = random_pd_gram(rng, n)
+        g = random_generic_gram(rng, n, spread=4)
         x = tuple(rng.randint(-6, 6) for _ in range(n))
         neg = tuple(-v for v in x)
         assert evaluate_form(g, x) == evaluate_form(g, neg) == eval_q(g.rows, x)
@@ -160,19 +162,9 @@ class TestDeterminant:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4), st.randoms(use_true_random=False))
     def test_invariant_under_unimodular(self, n, rng):
-        g = random_pd_gram(rng, n)
-        t = _random_unimodular(rng, n)
+        g = random_generic_gram(rng, n, spread=4)
+        t = random_unimodular(rng, n)
         assert determinant(apply_transform(g, t).rows) == determinant(g.rows)
-
-
-def _random_unimodular(rng, n, ops=None, coeff=3):
-    t = [list(r) for r in identity_matrix(n)]
-    for _ in range(ops if ops is not None else 3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-coeff, coeff)
-        for s in range(n):
-            t[i][s] += c * t[j][s]
-    return tuple(tuple(r) for r in t)
 
 
 class TestSmith:
@@ -232,7 +224,7 @@ class TestSmith:
     @given(st.integers(2, 3), st.randoms(use_true_random=False))
     def test_divisors_invariant_under_unimodular(self, n, rng):
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        t = _random_unimodular(rng, n)
+        t = random_unimodular(rng, n)
         left = mat_mul(t, m)
         right = mat_mul(m, t)
         base = smith_normal_form(m).divisors
@@ -286,13 +278,6 @@ class TestApplyTransform:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodularError):
             apply_transform(GramMatrix([[1, 0], [0, 1]]), ((2, 0), (0, 1)))
-
-    def test_int_inverse(self):
-        rng = random.Random(7)
-        for n in (2, 3, 4):
-            t = _random_unimodular(rng, n)
-            ti = int_matrix_inverse(t)
-            assert mat_mul(t, ti) == identity_matrix(n)
 
     def test_int_determinant_matches_oracle(self):
         rng = random.Random(3)

@@ -14,9 +14,11 @@ from minkred.exactlin import (
     identity_matrix,
     int_determinant,
     ldl_decompose,
+    mat_mul,
 )
 from minkred.reduction import (
     Violation,
+    lll_transform,
     greedy_minkowski_basis,
     hermite_witness_search,
     is_minkowski_reduced_definitional,
@@ -26,19 +28,9 @@ from minkred.reduction import (
 )
 from minkred.tables import tail_gcd_index
 
-from _generators import skewed_orthogonal_gram
+from _generators import random_generic_gram, random_pd_gram, skewed_orthogonal_gram
 
 F = Fraction
-
-
-def random_pd_gram(rng, n, spread=3):
-    a = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
-    return GramMatrix(
-        [
-            [sum(a[k][i] * a[k][j] for k in range(n)) + (2 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    )
 
 
 class TestTableCheck:
@@ -92,6 +84,20 @@ class TestDefinitionalCheck:
         assert (t is True) == (d is True)
         if t is not True:
             assert isinstance(t, Violation) and isinstance(d, Violation)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_table_check_generic_dim5_6(self, seed):
+        rng = random.Random(seed + 5000)
+        g = random_generic_gram(rng, 5 + seed % 2)
+        t = is_minkowski_reduced_table(g)
+        d = is_minkowski_reduced_definitional(g)
+        assert (t is True) == (d is True)
+        if t is not True:
+            assert isinstance(t, Violation) and isinstance(d, Violation)
+        rep = minkowski_reduce(g)
+        assert is_minkowski_reduced_table(rep.reduced) is True
+        assert is_minkowski_reduced_definitional(rep.reduced) is True
+        assert greedy_minkowski_basis(g).reduced.diagonal() == rep.reduced.diagonal()
 
 
 class TestMinkowskiReduce:
@@ -208,6 +214,9 @@ class TestLLL:
         assert apply_transform(g, rep.transform) == rep.reduced
         assert determinant(rep.reduced.rows) == determinant(g.rows)
         _gso_check(rep.reduced, delta)
+        t, _, t_inv = lll_transform(g.scaled()[0], delta)
+        assert t == rep.transform
+        assert mat_mul(t, t_inv) == identity_matrix(g.n)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_delta_1_2dim_matches_minkowski(self, seed):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from minkred import enumeration
 from minkred.corpus import named_lattice
 from minkred.errors import NotReducedError, UnsupportedDimensionError
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, mat_vec
@@ -14,20 +15,10 @@ from minkred.voronoi import (
     relevant_vectors,
 )
 
-from _generators import random_generic_gram, skewed_orthogonal_gram
+from _generators import random_generic_gram, random_unimodular, skewed_orthogonal_gram
 from _oracles import brute_coset_minima, eval_q, gram_inverse
 
 F = Fraction
-
-
-def random_unimodular(rng, n):
-    t = [list(r) for r in identity_matrix(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
-        for s in range(n):
-            t[i][s] += c * t[j][s]
-    return tuple(tuple(r) for r in t)
 
 
 class TestRelevantVectors:
@@ -95,12 +86,27 @@ class TestRelevantVectors:
     def test_commutes_with_basis_change(self):
         rng = random.Random(21)
         g, _, _ = skewed_orthogonal_gram(rng, 3)
-        t = random_unimodular(rng, 3)
+        t = random_unimodular(rng, 3, coeff=2)
         h = apply_transform(g, t)
         rel_g = set(relevant_vectors(g).vectors)
         rel_h = relevant_vectors(h).vectors
         mapped = {canonical_sign(mat_vec(t, v)) for v in rel_h}
         assert mapped == rel_g
+
+    def test_one_lll_run_per_form(self, monkeypatch):
+        # the 2^n - 1 coset searches share the form's cached LLL view
+        runs = []
+        lll_transform = enumeration.lll_transform
+
+        def counted(*args):
+            runs.append(args)
+            return lll_transform(*args)
+
+        monkeypatch.setattr(enumeration, "lll_transform", counted)
+        g = random_generic_gram(random.Random(5), 4)
+        relevant_vectors(g)
+        relevant_vectors(g)
+        assert len(runs) == 1
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
