@@ -58,9 +58,11 @@ def size_reduce_tail(a, start):
 def lll_transform(a, delta=Fraction(3, 4)):
     """Reduce the integer Gram matrix ``a``.
 
-    Returns (t, swaps, t_inv): t is the unimodular transform whose columns
-    are the reduced basis in input coordinates (reduced Gram = t^T a t),
-    and t_inv its inverse, built by the matching row operations.
+    Returns (t, swaps, t_inv, d, lam): t is the unimodular transform whose
+    columns are the reduced basis in input coordinates (reduced Gram =
+    t^T a t), t_inv its inverse, built by the matching row operations, and
+    (d, lam) the integral Gram-Schmidt quantities of the reduced Gram, as
+    :func:`exactlin.integral_gram_schmidt` would return them.
     Raises NotPositiveDefiniteError when a leading minor is <= 0.
     """
     n = len(a)
@@ -96,4 +98,4 @@ def lll_transform(a, delta=Fraction(3, 4)):
                 _reduce_step(dd, lam, t, k, l, t_inv)
             k += 1
 
-    return tuple(tuple(row) for row in t), swaps, tuple(tuple(row) for row in t_inv)
+    return tuple(tuple(row) for row in t), swaps, tuple(tuple(row) for row in t_inv), dd, lam

@@ -5,7 +5,8 @@ Gram-Schmidt quantities (d, lambda) of the scaled integer Gram matrix:
 every pruning bound is an integer square root of an exact rational, so no
 decision ever touches floating point. Every search runs on the LLL view of
 the form, built once per GramMatrix and cached on it, and witnesses are
-mapped back, which changes nothing observable.
+mapped back, which changes nothing observable. The view keeps the d and
+lambda that LLL ends with, so no search recomputes them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .exactlin import (
     IntVector,
     evaluate_form,
     int_matrix_rank,
-    integral_gram_schmidt,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -69,16 +69,17 @@ def _quad_int_range(c_num, c_den, t_num, t_den):
     return -((g + u) // v), (g - u) // v
 
 
-def _enumerate_core(a, bound_num, bound_den, parity=None, shrink=False):
-    """All nonzero x with x^T A x <= bound (one representative per +-pair).
+def _enumerate_core(view, bound_num, bound_den, parity=None, shrink=False):
+    """All nonzero x with x^T A x <= bound (one representative per +-pair),
+    for A = view.a_red, pruned with the view's d and lambda.
 
     parity: optional 0/1 vector constraining x_i mod 2 (coset of L/2L).
     shrink: keep only the minimal-norm layer, tightening the radius as
     shorter vectors appear (used for coset minima).
     Returns a list of (coords, q) with q = x^T A x an int.
     """
+    a, d, lam = view.a_red, view.d, view.lam
     n = len(a)
-    d, lam = integral_gram_schmidt(a)
     lam_cols = tuple(zip(*lam))  # lam_cols[j][i] = lam[i][j]
     results: list[tuple[tuple[int, ...], int]] = []
     best = [None]
@@ -158,16 +159,23 @@ class _ReducedView(NamedTuple):
     den: int               # original G = A / den
     transform: IntMatrix   # columns = reduced basis in original coords
     inverse: IntMatrix     # transform^-1: original coords -> reduced coords
+    d: list[int]           # integral Gram-Schmidt of a_red, as LLL left it
+    lam: list[list[int]]
+
+
+def _view_of(a, den) -> _ReducedView:
+    """The LLL view of the scaled integer Gram a (G = a / den).
+    Raises NotPositiveDefiniteError for a form that is not PD."""
+    t, _, t_inv, d, lam = lll_transform(a)
+    return _ReducedView(transform_gram_int(a, t), den, t, t_inv, d, lam)
 
 
 def _reduced_view(g: GramMatrix) -> _ReducedView:
     """The LLL view of g, built on first use and cached on g (which is
-    immutable). Raises NotPositiveDefiniteError for a form that is not PD."""
+    immutable)."""
     view = object.__getattribute__(g, "_view")
     if view is None:
-        a, den = g.scaled()
-        t, _, t_inv = lll_transform(a)
-        view = _ReducedView(transform_gram_int(a, t), den, t, t_inv)
+        view = _view_of(*g.scaled())
         object.__setattr__(g, "_view", view)
     return view
 
@@ -188,7 +196,7 @@ def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
         raise ValueError("bound must be positive")
     view = _reduced_view(g)
     scaled = bound * view.den
-    raw = _enumerate_core(view.a_red, scaled.numerator, scaled.denominator)
+    raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
     entries = sorted(
         ((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
     )
@@ -200,7 +208,7 @@ def lattice_minimum(g: GramMatrix):
     attaining vector up to sign."""
     view = _reduced_view(g)
     radius = min(view.a_red[i][i] for i in range(len(view.a_red)))
-    raw = _enumerate_core(view.a_red, radius, 1, shrink=True)
+    raw = _enumerate_core(view, radius, 1, shrink=True)
     lam = F(raw[0][1], view.den)
     entries = sorted(
         ((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
@@ -218,7 +226,7 @@ def successive_minima(g: GramMatrix) -> SuccessiveMinima:
     view = _reduced_view(g)
     radius = min(view.a_red[i][i] for i in range(n))
     while True:
-        raw = _enumerate_core(view.a_red, radius, 1)
+        raw = _enumerate_core(view, radius, 1)
         cands = sorted(
             ((F(q, view.den), _map_back(view, coords)) for coords, q in raw),
             key=lambda t: (t[0],) + vector_key(t[1]),
@@ -301,7 +309,7 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
     while True:
         radius = min(radius, cap)
         scaled = radius * view.den
-        raw = _enumerate_core(view.a_red, scaled.numerator, scaled.denominator)
+        raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
         cands = sorted(
             ((F(q, view.den), _map_back(view, coords)) for coords, q in raw),
             key=lambda t: (t[0],) + vector_key(t[1]),
@@ -342,7 +350,7 @@ def coset_minima(g: GramMatrix, parity: Sequence[int]):
             for j in range(i + 1, n):
                 if rep[j]:
                     bound += 2 * rep[i] * rep[j] * a[i][j]
-    raw = _enumerate_core(a, bound, 1, parity=par_red, shrink=True)
+    raw = _enumerate_core(view, bound, 1, parity=par_red, shrink=True)
     entries = sorted(
         ((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
     )

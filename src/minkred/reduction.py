@@ -1,33 +1,34 @@
 """Minkowski reduction and reducedness certification.
 
-Two certification routes: the finite inequality tables (dimensions 2..6)
-and the definitional check by exhaustive enumeration (any feasible
-dimension). Their agreement on random forms is itself one of the headline
-properties this package exists to exercise.
+The reducer works from the definition: Q(e_i) <= Q(u) for every u with
+gcd(u_i, ..., u_n) = 1, decided by exhaustive enumeration in any feasible
+dimension. It starts from the LLL basis and replaces e_k by a shortest
+admissible u at the smallest violated index k until none is left. The
+finite inequality tables (dimensions 2..6) never drive it; they are the
+independent certificate, and their agreement with the definitional check
+on random forms is itself one of the headline properties this package
+exists to exercise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from ._lll import lll_transform, size_reduce_tail
 from .enumeration import (
     _enumerate_core,
     _map_back,
     _reduced_view,
+    _view_of,
     complete_to_basis,
     is_primitive_system,
     lattice_minimum,
     shortest_primitive_extension,
     vector_key,
 )
-from .errors import (
-    DependentVectorsError,
-    ReductionCapError,
-    UnsupportedDimensionError,
-)
+from .errors import DependentVectorsError, ReductionCapError
 from .exactlin import (
     GramMatrix,
     IntMatrix,
@@ -37,12 +38,7 @@ from .exactlin import (
     require_positive_definite,
     transform_gram_int,
 )
-from .tables import (
-    MAX_TABLE_DIM,
-    MIN_TABLE_DIM,
-    tail_gcd_index,
-    tammela_reduction_candidates,
-)
+from .tables import tail_gcd_index, tammela_reduction_candidates
 
 F = Fraction
 
@@ -113,139 +109,106 @@ def _first_violation_int(a, n, struct):
     return None
 
 
-def _check_table_dim(n: int) -> None:
-    if not (MIN_TABLE_DIM <= n <= MAX_TABLE_DIM):
-        raise UnsupportedDimensionError(
-            f"table check covers dimensions {MIN_TABLE_DIM}..{MAX_TABLE_DIM}, got {n}"
-            " (use the definitional check instead)"
-        )
-
-
 def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
     """Certify reducedness by the finite inequality system (2 <= n <= 6).
 
     Returns True, or the first Violation in canonical candidate order.
     """
-    _check_table_dim(g.n)
+    struct = _scan_struct(g.n)  # raises UnsupportedDimensionError outside 2..6
     require_positive_definite(g)
     a, den = g.scaled()
-    hit = _first_violation_int(a, g.n, _scan_struct(g.n))
+    hit = _first_violation_int(a, g.n, struct)
     if hit is None:
         return True
     u, i, q = hit
     return Violation(u, i, F(q, den), F(a[i][i], den))
 
 
-def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
-    """Certify reducedness from the definition, any feasible dimension.
+def _shortest_violation(view, thresholds):
+    """The smallest violated index of the definition, or None.
 
-    For each index i this decides whether some u with gcd(u_i,...,u_n) = 1
-    has Q(u) < Q(e_i), by complete enumeration with a growing radius
-    (internally LLL-preconditioned). Sound and complete.
+    thresholds[i] is the scaled Q(e_i) of the basis the view was built
+    from. Returns (u, i, q): u in that basis, gcd(u_i, ..., u_n) = 1 and
+    q = Q(u) < thresholds[i] the least such norm, ties broken by
+    vector_key. Indices are scanned in order within the current radius;
+    at the first index the radius cannot decide, it grows and the scan
+    starts again, so every index before the returned one is decided and
+    met.
     """
-    require_positive_definite(g)
-    n = g.n
-    view = _reduced_view(g)
-    a_orig, den = g.scaled()
-    thresholds = [a_orig[i][i] for i in range(n)]  # scaled Q(e_i)
-    max_needed = max(thresholds) - 1
-    radius = min(min(view.a_red[i][i] for i in range(n)), max_needed)
-    radius = max(radius, 1)
-
+    n = len(thresholds)
+    radius = max(min(min(view.a_red[i][i] for i in range(n)), max(thresholds) - 1), 1)
     while True:
-        raw = _enumerate_core(view.a_red, radius, 1)
+        raw = _enumerate_core(view, radius, 1)
         vecs = sorted(
             ((q, _map_back(view, coords)) for coords, q in raw),
             key=lambda t: (t[0],) + vector_key(t[1]),
         )
-        # best achievable norm for each tail-gcd index, as a suffix minimum
-        best: list[Optional[tuple[int, IntVector]]] = [None] * n
-        for q, v in vecs:
-            ti = tail_gcd_index(v)
-            if ti is not None and (best[ti] is None):
-                best[ti] = (q, v)
-        for i in range(n - 2, -1, -1):
-            if best[i] is None or (
-                best[i + 1] is not None and best[i + 1][0] < best[i][0]
-            ):
-                if best[i + 1] is not None:
-                    best[i] = best[i + 1]
-        unresolved = []
+        tails = [tail_gcd_index(v) for _, v in vecs]
         for i in range(n):
-            if best[i] is not None and best[i][0] < thresholds[i]:
-                q, v = best[i]
-                return Violation(v, i, F(q, den), F(thresholds[i], den))
+            for (q, v), ti in zip(vecs, tails):
+                if q >= thresholds[i]:
+                    break
+                if ti is not None and ti >= i:
+                    return v, i, q
             if radius < thresholds[i] - 1:
-                unresolved.append(i)
-        if not unresolved:
-            return True
-        radius = min(max(radius * 2, 1), max(thresholds[i] for i in unresolved) - 1)
+                break  # a shorter admissible u may lie beyond the radius
+        else:
+            return None
+        radius = min(2 * radius, max(thresholds[i:]) - 1)
 
 
-def is_minkowski_reduced(g: GramMatrix, definitional: bool = False) -> Union[bool, Violation]:
-    """Dispatch: table route for n <= 6 unless definitional is forced."""
-    if definitional or g.n > MAX_TABLE_DIM:
-        return is_minkowski_reduced_definitional(g)
-    return is_minkowski_reduced_table(g)
+def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
+    """Certify reducedness from the definition, any feasible dimension.
 
-
-def _swap_basis_int(a, t, i):
-    """Exchange basis vectors i and i+1 on the scaled Gram and transform."""
-    n = len(a)
-    a[i], a[i + 1] = a[i + 1], a[i]
-    for r in range(n):
-        a[r][i], a[r][i + 1] = a[r][i + 1], a[r][i]
-    for r in range(n):
-        t[r][i], t[r][i + 1] = t[r][i + 1], t[r][i]
+    Decides for each index i whether some u with gcd(u_i,...,u_n) = 1 has
+    Q(u) < Q(e_i), by complete enumeration with a growing radius
+    (internally LLL-preconditioned). Sound and complete. Returns True, or
+    the Violation at the smallest index with a shortest such u.
+    """
+    a, den = g.scaled()
+    hit = _shortest_violation(_reduced_view(g), [a[i][i] for i in range(g.n)])
+    if hit is None:
+        return True
+    u, i, q = hit
+    return Violation(u, i, F(q, den), F(a[i][i], den))
 
 
 def minkowski_reduce(g: GramMatrix) -> ReductionReport:
-    """Reduce by the violation-fixing loop (dimensions 2..6).
+    """Reduce by fixing the definitional check's violations, any dimension.
 
-    Each round re-sorts by adjacent swaps (only when strictly shorter),
-    finds the first violated table inequality (u, k), and replaces e_k by
-    u via the canonical unimodular completion fixing e_1..e_{k-1}; gcd of
-    the tail coordinates being 1 guarantees the completion exists. Each
-    replacement strictly shrinks Q(e_k), so the loop terminates; a hard
-    cap turns any latent bug into ReductionCapError.
+    A reduced input comes back unchanged. Otherwise the loop starts from
+    the LLL basis; each round finds the smallest violated index k and a
+    shortest u with gcd(u_k..u_n) = 1, replaces e_k by u through the
+    unimodular completion that keeps e_1..e_{k-1}, and size-reduces the
+    vectors after k. At most n rounds fix something: whether u is
+    admissible at an index i <= k depends only on span(e_1..e_{i-1}),
+    which the fix leaves alone, so e_1..e_{k-1} still meet the definition
+    and the new e_k meets it too, being a shortest admissible vector.
+    The violated index therefore strictly increases. A cap of n fixes
+    turns any latent bug into ReductionCapError.
     """
     n = g.n
-    _check_table_dim(n)
-    require_positive_definite(g)
-    struct = _scan_struct(n)
-    a_t, den = g.scaled()
-    a = [list(row) for row in a_t]
-    t = [list(row) for row in identity_matrix(n)]
+    a, den = g.scaled()
+    view = _reduced_view(g)
+    if _shortest_violation(view, [a[i][i] for i in range(n)]) is None:
+        return ReductionReport(g, identity_matrix(n), 0, ())
+    a, t = view.a_red, view.transform
     fixes: list[Violation] = []
-    cap = 10 * n * len(struct)
-
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1):
-                if a[i + 1][i + 1] < a[i][i]:
-                    _swap_basis_int(a, t, i)
-                    changed = True
-        hit = _first_violation_int(a, n, struct)
-        if hit is None:
-            break
+    while hit := _shortest_violation(_view_of(a, den), [a[i][i] for i in range(n)]):
         u, k, q = hit
         fixes.append(Violation(u, k, F(q, den), F(a[k][k], den)))
-        if len(fixes) > cap:
+        if len(fixes) > n:
             raise ReductionCapError(fixes)
         prefix = [tuple(1 if j == i else 0 for j in range(n)) for i in range(k)]
         c = complete_to_basis(prefix + [u], n)
-        a = [list(row) for row in transform_gram_int(a, c)]
-        t = [list(row) for row in mat_mul(t, c)]
+        a, t = transform_gram_int(a, c), mat_mul(t, c)
         # keeps replacement completions from blowing up across fixes
         r = size_reduce_tail(a, k + 1)
         if r is not None:
-            a = [list(row) for row in transform_gram_int(a, r)]
-            t = [list(row) for row in mat_mul(t, r)]
+            a, t = transform_gram_int(a, r), mat_mul(t, r)
 
     reduced = GramMatrix([[F(x, den) for x in row] for row in a])
-    return ReductionReport(reduced, tuple(tuple(r) for r in t), len(fixes), tuple(fixes))
+    return ReductionReport(reduced, t, len(fixes), tuple(fixes))
 
 
 def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
@@ -277,7 +240,7 @@ def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
         raise ValueError(f"delta must satisfy 1/4 < delta <= 1, got {delta}")
     require_positive_definite(g)
     a, den = g.scaled()
-    t, swaps, _ = lll_transform(a, delta)
+    t, swaps = lll_transform(a, delta)[:2]
     reduced_int = transform_gram_int(a, t)
     reduced = GramMatrix([[F(x, den) for x in row] for row in reduced_int])
     return ReductionReport(reduced, t, swaps, ())
@@ -297,7 +260,7 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     a, den = g.scaled()
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled
     view = _reduced_view(g)
-    raw = _enumerate_core(view.a_red, targets[-1], 1)
+    raw = _enumerate_core(view, targets[-1], 1)
     cands = sorted(
         ((q, _map_back(view, coords)) for coords, q in raw),
         key=lambda e: (e[0],) + vector_key(e[1]),

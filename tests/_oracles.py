@@ -7,6 +7,7 @@ library cannot hide in its own oracle.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import gcd, isqrt
 
@@ -140,6 +141,16 @@ def brute_minimum(rows):
     vs = brute_short_vectors(rows, diag_min)
     lam = min(q for _, q in vs)
     return lam, [v for v, q in vs if q == lam]
+
+
+def brute_first_violation(rows):
+    """(i, Q(u)) for the smallest i with some u, gcd(u_i..u_n) = 1 and
+    Q(u) < Q(e_i), taking u of least norm; None for a reduced form."""
+    for i in range(len(rows)):
+        for x, q in brute_short_vectors(rows, rows[i][i]):
+            if q < rows[i][i] and reduce(gcd, x[i:], 0) == 1:
+                return i, q
+    return None
 
 
 def brute_coset_minima(rows, parity, bound):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from minkred import reduction
 from minkred.corpus import example9_gram, example9_reduced_not_hermite, named_lattice
 from minkred.enumeration import lattice_minimum, successive_minima
 from minkred.errors import NotPositiveDefiniteError, UnsupportedDimensionError
@@ -13,8 +14,10 @@ from minkred.exactlin import (
     evaluate_form,
     identity_matrix,
     int_determinant,
+    integral_gram_schmidt,
     ldl_decompose,
     mat_mul,
+    transform_gram_int,
 )
 from minkred.reduction import (
     Violation,
@@ -28,7 +31,13 @@ from minkred.reduction import (
 )
 from minkred.tables import tail_gcd_index
 
-from _generators import random_generic_gram, random_pd_gram, skewed_orthogonal_gram
+from _generators import (
+    random_generic_gram,
+    random_pd_gram,
+    random_unimodular,
+    skewed_orthogonal_gram,
+)
+from _oracles import brute_first_violation
 
 F = Fraction
 
@@ -85,6 +94,16 @@ class TestDefinitionalCheck:
         if t is not True:
             assert isinstance(t, Violation) and isinstance(d, Violation)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_smallest_violated_index_matches_brute_force(self, seed):
+        # one basis vector of a reduced form moved: violations at any index
+        rng = random.Random(seed + 6000)
+        n = rng.randint(2, 4)
+        reduced = minkowski_reduce(random_pd_gram(rng, n)).reduced
+        g = apply_transform(reduced, random_unimodular(rng, n, ops=1, coeff=2))
+        v = is_minkowski_reduced_definitional(g)
+        assert (None if v is True else (v.index, v.q_u)) == brute_first_violation(g.rows)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_table_check_generic_dim5_6(self, seed):
         rng = random.Random(seed + 5000)
@@ -95,6 +114,7 @@ class TestDefinitionalCheck:
         if t is not True:
             assert isinstance(t, Violation) and isinstance(d, Violation)
         rep = minkowski_reduce(g)
+        assert rep.iterations <= g.n
         assert is_minkowski_reduced_table(rep.reduced) is True
         assert is_minkowski_reduced_definitional(rep.reduced) is True
         assert greedy_minkowski_basis(g).reduced.diagonal() == rep.reduced.diagonal()
@@ -103,7 +123,10 @@ class TestDefinitionalCheck:
 class TestMinkowskiReduce:
     def test_4_3_3_5(self):
         rep = minkowski_reduce(GramMatrix([[4, 3], [3, 5]]))
-        assert rep.reduced.rows == ((F(3), F(1)), (F(1), F(4)))
+        assert rep.reduced.rows == ((F(3), F(-1)), (F(-1), F(4)))
+        # e_2 -> -e_2 of ((3, 1), (1, 4)): the same lattice, reduced both ways
+        flipped = apply_transform(GramMatrix([[3, 1], [1, 4]]), ((1, 0), (0, -1)))
+        assert rep.reduced == flipped
         assert rep.iterations == 1
         assert apply_transform(GramMatrix([[4, 3], [3, 5]]), rep.transform) == rep.reduced
 
@@ -120,6 +143,7 @@ class TestMinkowskiReduce:
         n = rng.randint(2, 5)
         g, _, _ = skewed_orthogonal_gram(rng, n)
         rep = minkowski_reduce(g)
+        assert rep.iterations <= n
         assert is_minkowski_reduced_table(rep.reduced) is True
         assert apply_transform(g, rep.transform) == rep.reduced
         assert determinant(rep.reduced.rows) == determinant(g.rows)
@@ -128,6 +152,52 @@ class TestMinkowskiReduce:
         # idempotence
         again = minkowski_reduce(rep.reduced)
         assert again.iterations == 0 and again.reduced == rep.reduced
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, -644, 2771], [-644, 347050, -1493283], [2771, -1493283, 6425282]],
+            [[2, -601, 955], [-601, 189210, -300659], [955, -300659, 477754]],
+            [[694817, -301652, 820], [-301652, 130961, -356], [820, -356, 1]],
+        ],
+    )
+    def test_skewed_dim3_within_n_fixes(self, rows):
+        # fixing by single table candidates ran past a 300-fix cap on these
+        g = GramMatrix(rows)
+        rep = minkowski_reduce(g)
+        assert is_minkowski_reduced_table(rep.reduced) is True
+        assert is_minkowski_reduced_definitional(rep.reduced) is True
+        assert apply_transform(g, rep.transform) == rep.reduced
+        assert rep.iterations <= 3
+
+    def test_example9_already_reduced(self):
+        rep = minkowski_reduce(example9_gram())
+        assert rep.iterations == 0
+        assert rep.reduced.diagonal() == (F(1),) * 9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dims_7_to_9(self, seed):
+        rng = random.Random(seed + 8000)
+        for base in (example9_gram(), random_generic_gram(rng, 7), random_generic_gram(rng, 8)):
+            g = apply_transform(base, random_unimodular(rng, base.n))
+            rep = minkowski_reduce(g)
+            assert rep.iterations <= g.n
+            assert is_minkowski_reduced_definitional(rep.reduced) is True
+            assert rep.reduced[0, 0] == lattice_minimum(g)[0]
+            assert apply_transform(g, rep.transform) == rep.reduced
+            assert int_determinant(rep.transform) in (1, -1)
+
+    def test_tables_stay_off_the_reduction_path(self, monkeypatch):
+        def table_scan(*args):
+            raise AssertionError("minkowski_reduce reached the table scan")
+
+        rng = random.Random(8100)
+        g = apply_transform(random_generic_gram(rng, 6), random_unimodular(rng, 6))
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_first_violation_int", table_scan)
+            rep = minkowski_reduce(g)
+        assert rep.iterations > 0
+        assert is_minkowski_reduced_table(rep.reduced) is True
 
     def test_unit_diagonal_random_transform(self):
         rng = random.Random(4)
@@ -214,9 +284,10 @@ class TestLLL:
         assert apply_transform(g, rep.transform) == rep.reduced
         assert determinant(rep.reduced.rows) == determinant(g.rows)
         _gso_check(rep.reduced, delta)
-        t, _, t_inv = lll_transform(g.scaled()[0], delta)
+        t, _, t_inv, d, lam = lll_transform(g.scaled()[0], delta)
         assert t == rep.transform
         assert mat_mul(t, t_inv) == identity_matrix(g.n)
+        assert (d, lam) == integral_gram_schmidt(transform_gram_int(g.scaled()[0], t))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_delta_1_2dim_matches_minkowski(self, seed):
