@@ -7,12 +7,16 @@ decision ever touches floating point. Every search runs on the LLL view of
 the form, built once per GramMatrix and cached on it, and witnesses are
 mapped back, which changes nothing observable. The view keeps the d and
 lambda that LLL ends with, so no search recomputes them.
+
+Primitivity has one mechanism, :func:`_completion`: a unimodular C whose
+first columns are the chosen vectors. v extends them primitively iff the
+last coordinates of C^-1 v have gcd 1, as in Minkowski's definition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple, Sequence
 
 from ._lll import lll_transform, size_reduce_tail
@@ -22,10 +26,10 @@ from .exactlin import (
     IntMatrix,
     IntVector,
     evaluate_form,
+    identity_matrix,
     int_matrix_rank,
     mat_mul,
     mat_vec,
-    smith_normal_form,
     transform_gram_int,
 )
 from .tables import canonical_sign
@@ -184,6 +188,15 @@ def _map_back(view: _ReducedView, coords):
     return canonical_sign(mat_vec(view.transform, coords))
 
 
+def _by_norm(view: _ReducedView, raw):
+    """_enumerate_core's output as (q, v) with v in the original
+    coordinates, sorted by (q, vector_key(v))."""
+    return sorted(
+        ((q, _map_back(view, coords)) for coords, q in raw),
+        key=lambda e: (e[0],) + vector_key(e[1]),
+    )
+
+
 def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
     """Complete list of nonzero v with Q(v) <= bound, up to sign.
 
@@ -226,27 +239,59 @@ def successive_minima(g: GramMatrix) -> SuccessiveMinima:
     view = _reduced_view(g)
     radius = min(view.a_red[i][i] for i in range(n))
     while True:
-        raw = _enumerate_core(view, radius, 1)
-        cands = sorted(
-            ((F(q, view.den), _map_back(view, coords)) for coords, q in raw),
-            key=lambda t: (t[0],) + vector_key(t[1]),
-        )
         chosen: list[IntVector] = []
         norms: list[Fraction] = []
-        rows: list[IntVector] = []
-        for q, v in cands:
-            if int_matrix_rank(rows + [v]) == len(rows) + 1:
-                rows.append(v)
+        for q, v in _by_norm(view, _enumerate_core(view, radius, 1)):
+            if int_matrix_rank(chosen + [v]) == len(chosen) + 1:
                 chosen.append(v)
-                norms.append(q)
+                norms.append(F(q, view.den))
                 if len(chosen) == n:
                     return SuccessiveMinima(tuple(norms), tuple(chosen))
         radius *= 2
 
 
+def _completion(rows, n):
+    """(C, tail) for a primitive system of k rows of length n: C is
+    unimodular with the rows as its first k columns and tail is rows
+    k..n-1 of C^-1, so v extends the system primitively iff gcd(tail v) = 1.
+
+    Row r_j is placed by folding w = (C^-1 r_j)[j:] into w_j with Euclid on
+    neighbouring pairs, from the last pair up (Newman, Integral Matrices,
+    II.1), mirrored on C's columns and C^-1's rows. If then w_j = +-1,
+    column j of C becomes r_j, which leaves C^-1's later rows unchanged
+    (earlier rows are never read again). Raises NotPrimitiveError.
+    """
+    c = [list(row) for row in identity_matrix(n)]
+    tail = [list(row) for row in identity_matrix(n)]  # rows j.. of C^-1
+    for j, r in enumerate(rows):
+        w = list(mat_vec(tail, r))
+        for i in range(len(w) - 1, 0, -1):
+            a, b = w[i - 1], w[i]
+            if not b:
+                continue
+            x, y, z, t = 1, 0, 0, 1  # ((x, y), (z, t)) takes (a, b) to (+-gcd, 0)
+            while b:
+                q, a, b = a // b, b, a % b
+                x, y, z, t = z, t, x - q * z, y - q * t
+            det = x * t - y * z  # +-1, the parity of the step count
+            w[i - 1], lo, hi = a, tail[i - 1], tail[i]
+            tail[i - 1] = [x * u + y * v for u, v in zip(lo, hi)]
+            tail[i] = [z * u + t * v for u, v in zip(lo, hi)]
+            for row in c:  # C times the inverse of that step
+                u, v = row[j + i - 1], row[j + i]
+                row[j + i - 1], row[j + i] = det * (t * u - z * v), det * (x * v - y * u)
+        if w[0] not in (1, -1):
+            raise NotPrimitiveError("system is not primitive; no unimodular completion")
+        del tail[0]
+        for row, x in zip(c, r):
+            row[j] = x
+    return tuple(map(tuple, c)), tuple(map(tuple, tail))
+
+
 def is_primitive_system(vectors: Sequence[Sequence[int]]) -> bool:
     """True iff the integer span of the vectors equals the intersection of
-    their linear span with the ambient lattice (all Smith divisors 1)."""
+    their linear span with the ambient lattice, i.e. iff they are the first
+    columns of some unimodular matrix."""
     rows = [tuple(int(x) for x in v) for v in vectors]
     if not rows:
         raise DimensionMismatchError("empty vector system")
@@ -255,49 +300,39 @@ def is_primitive_system(vectors: Sequence[Sequence[int]]) -> bool:
         raise DimensionMismatchError("mixed vector lengths")
     if len(rows) > n or int_matrix_rank(rows) != len(rows):
         raise DependentVectorsError("vectors are linearly dependent")
-    return all(d == 1 for d in smith_normal_form(rows).divisors)
+    try:
+        _completion(rows, n)
+    except NotPrimitiveError:
+        return False
+    return True
 
 
 def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
-    """Unimodular matrix whose first k columns are the given primitive system.
-
-    Built from the Smith transforms: with U M V = [I_k; 0] for the column
-    matrix M, the completion is U^-1 * blockdiag(V^-1, I).
-    """
+    """Unimodular matrix whose first k columns are the given primitive
+    system, built by Euclid steps on the vectors' coordinates."""
     rows = [tuple(int(x) for x in v) for v in vectors]
-    k = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("vector length does not match dimension")
-    if not is_primitive_system(rows):
-        raise NotPrimitiveError("system is not primitive; no unimodular completion")
-    m_cols = tuple(tuple(rows[j][i] for j in range(k)) for i in range(n))  # n x k
-    snf = smith_normal_form(m_cols)
-    block = [
-        [snf.right_inv[i][j] if i < k and j < k else (1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    completion = mat_mul(snf.left_inv, block)
-    for j in range(k):
-        col = tuple(completion[i][j] for i in range(n))
-        assert col == rows[j], "completion lost an input column"
-    return tuple(tuple(r) for r in completion)
+    if len(rows) > n or int_matrix_rank(rows) != len(rows):
+        raise DependentVectorsError("vectors are linearly dependent")
+    return _completion(rows, n)[0]
 
 
 def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]) -> IntVector:
     """Shortest v extending the partial primitive system to a larger one.
 
-    Radius starts at the norm of the canonical completion column (always
+    Radius starts at the norm of the size-reduced completion column (always
     feasible) and the candidate scan runs in (norm, pivot, coords) order,
     so the result is deterministic.
     """
     rows = [tuple(int(x) for x in v) for v in partial]
     k = len(rows)
     n = g.n
-    if k >= n:
-        raise DimensionMismatchError("partial system already spans the lattice")
+    if k >= n or any(len(r) != n for r in rows):
+        raise DimensionMismatchError("partial system needs fewer than n vectors of length n")
     if not is_primitive_system(rows):
         raise NotPrimitiveError("partial system is not primitive")
-    completion = complete_to_basis(rows, n)
+    completion, tail = _completion(rows, n)
     # size-reduce the completion against the partial system: its column k
     # stays a feasible extension, and only sets the search cap
     r = size_reduce_tail(transform_gram_int(g.scaled()[0], completion), k)
@@ -310,16 +345,9 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
         radius = min(radius, cap)
         scaled = radius * view.den
         raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
-        cands = sorted(
-            ((F(q, view.den), _map_back(view, coords)) for coords, q in raw),
-            key=lambda t: (t[0],) + vector_key(t[1]),
-        )
-        for q, v in cands:
-            try:
-                if is_primitive_system(rows + [v]):
-                    return v
-            except DependentVectorsError:
-                continue
+        for _, v in _by_norm(view, raw):
+            if gcd(*mat_vec(tail, v)) == 1:
+                return v
         if radius >= cap:
             raise AssertionError("completion column vanished from its own ball")
         radius *= 2

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: quadratic forms, LDL, the integral
-Gram-Schmidt kernel, determinants, Smith normal form and unimodular basis
-changes.
+Gram-Schmidt kernel, determinants, unimodular basis changes and the Smith
+normal form that centering's quotient structure needs.
 
 No floating point anywhere; every comparison in this package that decides
 anything goes through Fraction or int arithmetic.
@@ -221,19 +221,6 @@ def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
         if rank == rows:
             break
     return rank
-
-
-def is_unimodular(t) -> bool:
-    try:
-        rows = [[int(x) for x in row] for row in t]
-    except (TypeError, ValueError):
-        return False
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    if any(Fraction(x) != int(x) for row in _as_frac_rows(t) for x in row):
-        return False
-    return int_determinant(rows) in (1, -1)
 
 
 # ---------------------------------------------------------------------------

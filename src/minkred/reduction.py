@@ -14,27 +14,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple, Optional, Union
 
 from ._lll import lll_transform, size_reduce_tail
 from .enumeration import (
+    _by_norm,
+    _completion,
     _enumerate_core,
-    _map_back,
     _reduced_view,
     _view_of,
     complete_to_basis,
-    is_primitive_system,
     lattice_minimum,
     shortest_primitive_extension,
     vector_key,
 )
-from .errors import DependentVectorsError, ReductionCapError
+from .errors import ReductionCapError
 from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
     identity_matrix,
     mat_mul,
+    mat_vec,
     require_positive_definite,
     transform_gram_int,
 )
@@ -138,11 +140,7 @@ def _shortest_violation(view, thresholds):
     n = len(thresholds)
     radius = max(min(min(view.a_red[i][i] for i in range(n)), max(thresholds) - 1), 1)
     while True:
-        raw = _enumerate_core(view, radius, 1)
-        vecs = sorted(
-            ((q, _map_back(view, coords)) for coords, q in raw),
-            key=lambda t: (t[0],) + vector_key(t[1]),
-        )
+        vecs = _by_norm(view, _enumerate_core(view, radius, 1))
         tails = [tail_gcd_index(v) for _, v in vecs]
         for i in range(n):
             for (q, v), ti in zip(vecs, tails):
@@ -260,11 +258,7 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     a, den = g.scaled()
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled
     view = _reduced_view(g)
-    raw = _enumerate_core(view, targets[-1], 1)
-    cands = sorted(
-        ((q, _map_back(view, coords)) for coords, q in raw),
-        key=lambda e: (e[0],) + vector_key(e[1]),
-    )
+    cands = _by_norm(view, _enumerate_core(view, targets[-1], 1))
     if not cands or cands[0][0] >= targets[-1]:
         # nothing strictly shorter than the longest profile entry exists,
         # so no profile can beat this one
@@ -272,34 +266,24 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
 
     nodes = 0
 
-    def primitive(rows):
-        try:
-            return is_primitive_system(rows)
-        except DependentVectorsError:
-            return False
-
     def dfs(prefix):
+        # candidates come in norm order: those shorter than the target
+        # would be witnesses, those equal to it tie and go one level down
         nonlocal nodes
         level = len(prefix)
         if level == n:
             return None  # full profile tie, not a witness
         target = targets[level]
+        tail = _completion(prefix, n)[1]
         for q, v in cands:
-            if q >= target:
+            if q > target:
                 break
             nodes += 1
             if nodes > budget:
                 return "budget"
-            if primitive(prefix + [v]):
-                basis = complete_to_basis(prefix + [v], n)
-                return basis
-        for q, v in cands:
-            if q != target:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return "budget"
-            if primitive(prefix + [v]):
+            if gcd(*mat_vec(tail, v)) == 1:
+                if q < target:
+                    return complete_to_basis(prefix + [v], n)
                 out = dfs(prefix + [v])
                 if out is not None:
                     return out

@@ -75,6 +75,15 @@ def snf_divisors_via_minors(rows):
     return divisors
 
 
+def minor_gcd(rows):
+    """gcd of the k x k minors of a k x n integer system: 1 exactly when
+    the system is primitive, 0 when it is dependent."""
+    g = 0
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, int(frac_det_gauss([[row[j] for j in cols] for row in rows])))
+    return g
+
+
 def eval_q(rows, x):
     """x^T G x via the bilinear expansion, independent of the library."""
     n = len(rows)

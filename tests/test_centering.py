@@ -187,6 +187,19 @@ class TestTheoremBound:
         assert rep.max_abs_coordinate_seen <= 2
         assert not rep.counterexamples
 
+    @pytest.mark.parametrize(
+        "name, seen, bound",
+        [("E6", 3, 3), ("D6", 2, 3), ("D5", 2, 2), ("D4", 2, 2), ("A5", 1, 2), ("A6", 1, 3)],
+    )
+    def test_root_lattices_pin_the_bound(self, name, seen, bound):
+        # E6, D5 and D4 reach the bound: E6's minimum vectors include
+        # (1,2,3,2,1,1) in its Dynkin basis
+        g = named_lattice(name)
+        assert minkowski_reduce(g).iterations == 0
+        rep = check_theorem_bound(g)
+        assert (rep.max_abs_coordinate_seen, rep.bound) == (seen, bound)
+        assert not rep.counterexamples
+
     def test_merge(self):
         a = check_theorem_bound(GramMatrix(identity_matrix(3)))
         b = check_theorem_bound(named_lattice("A3"))

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from minkred.corpus import E8_STAR_COORDS, E9_STAR_COORDS, example9_gram, named_lattice
 from minkred.enumeration import (
+    _completion,
     complete_to_basis,
     coset_minima,
     enumerate_short_vectors,
@@ -26,10 +28,18 @@ from minkred.exactlin import (
     identity_matrix,
     int_determinant,
     mat_mul,
+    mat_vec,
 )
 
 from _generators import random_pd_gram, random_unimodular
-from _oracles import brute_coset_minima, brute_minimum, brute_short_vectors, gram_inverse
+from _oracles import (
+    brute_coset_minima,
+    brute_minimum,
+    brute_short_vectors,
+    frac_det_gauss,
+    gram_inverse,
+    minor_gcd,
+)
 
 F = Fraction
 
@@ -216,6 +226,37 @@ class TestPrimitivity:
     def test_not_primitive_rejected_by_completion(self):
         with pytest.raises(NotPrimitiveError):
             complete_to_basis([(2, 0)], 2)
+
+    def test_dependent_rejected_by_completion(self):
+        with pytest.raises(DependentVectorsError):
+            complete_to_basis([(1, 2, 0), (2, 4, 0)], 3)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_tail_gcd_matches_minor_oracle(self, n):
+        rng = random.Random(n + 600)
+        verdicts = set()
+        for _ in range(30):
+            k = rng.randint(1, n)
+            rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+            if rng.random() < 0.3:
+                rows[0] = tuple(2 * x for x in rows[0])
+            g = minor_gcd(rows)
+            if g == 0:
+                with pytest.raises(DependentVectorsError):
+                    is_primitive_system(rows)
+                continue
+            verdicts.add(g == 1)
+            assert is_primitive_system(rows) is (g == 1)
+            if g != 1:
+                continue
+            c, tail = _completion(rows, n)
+            assert abs(frac_det_gauss(c)) == 1
+            assert [tuple(row[j] for row in c) for j in range(k)] == rows
+            assert mat_mul(tail, c) == identity_matrix(n)[k:]
+            for _ in range(6 if k < n else 0):
+                v = tuple(rng.randint(-3, 3) for _ in range(n))
+                assert (gcd(*mat_vec(tail, v)) == 1) is (minor_gcd(rows + [v]) == 1)
+        assert verdicts == {True, False}
 
 
 class TestShortestPrimitiveExtension:

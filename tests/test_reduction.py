@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,31 @@ class TestGreedy:
         assert greedy.reduced.diagonal() == table.reduced.diagonal()
         assert is_minkowski_reduced_definitional(greedy.reduced) is True
 
+    def test_skewed_z9_completes_fast(self):
+        # Z9 under 27 random column operations (|c| <= 3). Completing the
+        # greedy vectors through an unreduced Smith normal form took over
+        # 20 s on this form; the Euclid completion takes milliseconds.
+        g = GramMatrix(SKEWED_Z9)
+        start = time.perf_counter()
+        rep = greedy_minkowski_basis(g)
+        assert time.perf_counter() - start < 1.0
+        assert rep.reduced == GramMatrix(identity_matrix(9))
+        assert is_minkowski_reduced_definitional(rep.reduced) is True
+        assert apply_transform(g, rep.transform) == rep.reduced
+
+
+SKEWED_Z9 = (
+    (136, -297, -514, -325, 291, 48, -688, 385, 23),
+    (-297, 811, 1978, 1116, -746, 31, 2793, -1380, -60),
+    (-514, 1978, 15258, 7572, -1695, 754, 22677, -9057, -439),
+    (-325, 1116, 7572, 3799, -978, 330, 11209, -4540, -223),
+    (291, -746, -1695, -978, 698, 10, -2370, 1200, 56),
+    (48, 31, 754, 330, 10, 137, 1168, -432, -8),
+    (-688, 2793, 22677, 11209, -2370, 1168, 33752, -13411, -647),
+    (385, -1380, -9057, -4540, 1200, -432, -13411, 5498, 253),
+    (23, -60, -439, -223, 56, -8, -647, 253, 16),
+)
+
 
 def _gso_check(g, delta):
     """Exact rational verifier: size-reduced and Lovasz condition at delta."""
@@ -316,6 +342,15 @@ class TestHermiteWitness:
         assert not out.found
         sm = successive_minima(GramMatrix([[3, 1], [1, 4]]))
         assert sm.norms == (3, 4)
+
+    def test_budget_runs_out_before_the_witness(self):
+        g = example9_reduced_not_hermite()
+        full = hermite_witness_search(g, budget=100_000)
+        assert full.found
+        cut = hermite_witness_search(g, budget=full.nodes - 1)
+        assert not cut.found and cut.basis is None and cut.profile is None
+        assert cut.nodes == cut.budget == full.nodes - 1
+        assert hermite_witness_search(g, budget=full.nodes).found
 
     def test_all_minimum_basis_never_witnessed(self):
         for name in ("A2", "D4", "Z5"):
