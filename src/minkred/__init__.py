@@ -12,7 +12,6 @@ from .exactlin import (
     gram_from_basis,
     is_positive_definite,
     ldl_decompose,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "gram_from_basis",
     "is_positive_definite",
     "ldl_decompose",
-    "smith_normal_form",
 ]

@@ -10,15 +10,21 @@ denominators do not depend on any metric.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .enumeration import lattice_minimum
 from .errors import DependentVectorsError, DimensionMismatchError, NotReducedError
-from .exactlin import GramMatrix, IntVector, smith_normal_form
+from .exactlin import GramMatrix, int_determinant
 from .reduction import is_minkowski_reduced_table
-from .tables import CenteringClass, centering_classes, class_rep_set, max_theorem_bound
+from .tables import (
+    CenteringClass,
+    _span_mod_1,
+    centering_classes,
+    class_rep_set,
+    max_theorem_bound,
+)
 
 F = Fraction
 
@@ -41,35 +47,26 @@ def centering_data(sub_basis: Sequence[Sequence[int]]) -> CenteringData:
     """Index, coset representatives and denominator lcm of the ambient
     coordinate lattice over the sublattice spanned by ``sub_basis``.
 
-    The representatives are the V classes of Z^n modulo the sublattice,
-    reduced into [0,1)^n in sub-basis coordinates; they come straight from
-    the Smith decomposition (quotient = direct sum of Z/d_i).
+    With M the matrix whose columns are the sub-basis vectors, the
+    representatives are the V = |det M| classes of Z^n / M Z^n in sub-basis
+    coordinates, reduced into [0,1)^n. The sub-basis coordinates of e_i,
+    column i of M^-1 = adj(M) / det M, generate that group mod 1.
     """
     rows = [tuple(int(x) for x in v) for v in sub_basis]
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if n == 0 or any(len(r) != n for r in rows):
         raise DimensionMismatchError("need n sub-basis vectors of length n")
-    cols = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))  # columns = vectors
-    snf = smith_normal_form(cols)
-    if any(d == 0 for d in snf.divisors):
+    det = int_determinant(rows)
+    if det == 0:
         raise DependentVectorsError("sub-basis vectors are linearly dependent")
-    v_index = 1
-    for d in snf.divisors:
-        v_index *= d
-    reps = []
-    for ys in product(*[range(d) for d in snf.divisors]):
-        # sub-basis coordinates of U^-1 y are V (D^-1 y); reduce mod 1
-        frac = [F(y, d) for y, d in zip(ys, snf.divisors)]
-        coords = tuple(
-            sum(snf.right[i][j] * frac[j] for j in range(n)) % 1 for i in range(n)
-        )
-        reps.append(coords)
-    reps.sort()
-    u = 1
-    for rep in reps:
-        for x in rep:
-            u = lcm(u, x.denominator)
-    return CenteringData(v_index, tuple(reps), u)
+
+    def cofactor(i, j):  # of M's entry (i, j) = rows[j][i]
+        minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+        return (-1) ** (i + j) * int_determinant(minor)
+
+    generators = [tuple(F(cofactor(i, j), det) for j in range(n)) for i in range(n)]
+    reps = tuple(sorted(_span_mod_1(generators, n)))
+    return CenteringData(abs(det), reps, lcm(*(x.denominator for g in generators for x in g)))
 
 
 def has_half_centered_face(data: CenteringData) -> bool:

@@ -197,6 +197,13 @@ def _by_norm(view: _ReducedView, raw):
     )
 
 
+def _by_exact_norm(view: _ReducedView, raw):
+    """_enumerate_core's output as (v, Q(v)) with v in the original
+    coordinates, sorted by (Q(v), v)."""
+    entries = sorted((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
+    return tuple((v, q) for q, v in entries)
+
+
 def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
     """Complete list of nonzero v with Q(v) <= bound, up to sign.
 
@@ -210,10 +217,7 @@ def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
     view = _reduced_view(g)
     scaled = bound * view.den
     raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
-    entries = sorted(
-        ((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
-    )
-    return ShortVectorList(bound, tuple((v, q) for q, v in entries))
+    return ShortVectorList(bound, _by_exact_norm(view, raw))
 
 
 def lattice_minimum(g: GramMatrix):
@@ -221,12 +225,9 @@ def lattice_minimum(g: GramMatrix):
     attaining vector up to sign."""
     view = _reduced_view(g)
     radius = min(view.a_red[i][i] for i in range(len(view.a_red)))
-    raw = _enumerate_core(view, radius, 1, shrink=True)
-    lam = F(raw[0][1], view.den)
-    entries = sorted(
-        ((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
-    )
-    return lam, ShortVectorList(lam, tuple((v, q) for q, v in entries))
+    minima = _by_exact_norm(view, _enumerate_core(view, radius, 1, shrink=True))
+    lam = minima[0][1]
+    return lam, ShortVectorList(lam, minima)
 
 
 def successive_minima(g: GramMatrix) -> SuccessiveMinima:
@@ -378,8 +379,5 @@ def coset_minima(g: GramMatrix, parity: Sequence[int]):
             for j in range(i + 1, n):
                 if rep[j]:
                     bound += 2 * rep[i] * rep[j] * a[i][j]
-    raw = _enumerate_core(view, bound, 1, parity=par_red, shrink=True)
-    entries = sorted(
-        ((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
-    )
-    return entries[0][0], tuple(v for _, v in entries)
+    minima = _by_exact_norm(view, _enumerate_core(view, bound, 1, parity=par_red, shrink=True))
+    return minima[0][1], tuple(v for v, _ in minima)

@@ -33,10 +33,6 @@ class NotPositiveDefiniteError(LatticeError, ValueError):
         )
 
 
-class LDLDecompositionError(LatticeError, ValueError):
-    """LDL^T without pivoting does not exist for this symmetric matrix."""
-
-
 class NotUnimodularError(LatticeError, ValueError):
     """An integer transform does not have determinant +-1."""
 

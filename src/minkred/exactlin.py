@@ -1,6 +1,8 @@
-"""Exact rational linear algebra: quadratic forms, LDL, the integral
-Gram-Schmidt kernel, determinants, unimodular basis changes and the Smith
-normal form that centering's quotient structure needs.
+"""Exact rational linear algebra: quadratic forms, determinants, rank and
+unimodular basis changes, on one fraction-free elimination (Bareiss) and
+one triangular kernel, the integral Gram-Schmidt recurrence that also
+gives LDL (Cohen, A Course in Computational Algebraic Number Theory,
+2.2.6 and 2.6.3).
 
 No floating point anywhere; every comparison in this package that decides
 anything goes through Fraction or int arithmetic.
@@ -9,13 +11,12 @@ anything goes through Fraction or int arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence
 
 from .errors import (
     DependentVectorsError,
     DimensionMismatchError,
-    LDLDecompositionError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     NotUnimodularError,
@@ -148,30 +149,43 @@ def mat_vec(m, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
+def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix with row
+    pivoting; every division is exact.
+
+    Returns (rank, p): p is the last pivot, signed by the row swaps, so a
+    square matrix of full rank has determinant p (and the 0 x 0 one has 1).
+    """
+    a = [list(map(int, row)) for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank, prev, sign = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        p = next((r for r in range(rank, rows) if a[r][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
+            sign = -sign
+        top = a[rank]
+        for row in a[rank + 1:]:
+            f = row[c]
+            for cc in range(c + 1, cols):
+                row[cc] = (row[cc] * top[c] - f * top[cc]) // prev
+            row[c] = 0
+        prev = top[c]
+        rank += 1
+    return rank, sign * prev
+
+
 def int_determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free (Bareiss)
-    elimination."""
+    """Exact determinant of an integer matrix by Bareiss elimination."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("determinant needs a square matrix")
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, p = _bareiss(m)
+    return p if rank == n else 0
 
 
 def determinant(m) -> Fraction:
@@ -196,31 +210,8 @@ def determinant(m) -> Fraction:
 
 
 def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free elimination."""
-    a = [list(map(int, row)) for row in m]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if a[r][c] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        for r in range(rank + 1, rows):
-            for cc in range(c + 1, cols):
-                a[r][cc] = (a[r][cc] * a[rank][c] - a[r][c] * a[rank][cc]) // prev
-            a[r][c] = 0
-        prev = a[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of an integer matrix by Bareiss elimination."""
+    return _bareiss(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +235,24 @@ def evaluate_form(g: GramMatrix, x: Sequence[int]) -> Fraction:
 
 
 def ldl_decompose(g: GramMatrix) -> tuple[FracMatrix, tuple[Fraction, ...]]:
-    """Exact LDL^T of a symmetric rational matrix.
+    """Exact LDL^T of a positive definite form, read off the integral
+    Gram-Schmidt kernel of its scaled Gram (A, den).
 
-    Returns (L, D) with L unit lower triangular and L diag(D) L^T == G.
-    All pivots are returned even when some are <= 0; if a zero pivot has
-    a nonzero entry below it the (pivotless) decomposition does not exist
-    and LDLDecompositionError is raised.
+    Returns (L, D) with L unit lower triangular, L diag(D) L^T == G,
+    D[k] = d[k+1] / (d[k] den) and L[i][j] = lam[i][j] / d[j+1]. Raises
+    NotPositiveDefiniteError(k) at the first pivot D[k] <= 0.
     """
+    a, den = g.scaled()
+    d, lam = integral_gram_schmidt(a)
     n = g.n
-    rows = g.rows
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        d = rows[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        D[j] = d
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            num = rows[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            if d == 0:
-                if num != 0:
-                    raise LDLDecompositionError(
-                        f"zero pivot at index {j} with nonzero entry below"
-                    )
-                L[i][j] = Fraction(0)
-            else:
-                L[i][j] = num / d
-    return tuple(tuple(r) for r in L), tuple(D)
+    L = tuple(
+        tuple(
+            Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(int(i == j))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return L, tuple(Fraction(d[k + 1], d[k] * den) for k in range(n))
 
 
 def integral_gram_schmidt(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -364,146 +347,3 @@ def transform_gram_int(a: Sequence[Sequence[int]], t: Sequence[Sequence[int]]):
     """T^T A T over plain ints (hot-path variant of apply_transform)."""
     at = mat_mul(a, t)
     return mat_mul(mat_transpose(t), at)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-class SNFResult(NamedTuple):
-    divisors: tuple[int, ...]
-    left: IntMatrix        # U with U * M * V diagonal
-    right: IntMatrix       # V
-    left_inv: IntMatrix
-    right_inv: IntMatrix
-
-
-def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
-    """Smith normal form of an integer matrix with explicit transforms.
-
-    Returns divisors d_1 | d_2 | ... (nonnegative, including zeros for a
-    rank deficit) together with unimodular U, V such that U M V is the
-    diagonal matrix of divisors, plus their inverses. Elementary row and
-    column operations only, so the inverses are accumulated exactly.
-    """
-    a = [[int(x) for x in row] for row in m]
-    k = len(a)
-    if k == 0:
-        raise DimensionMismatchError("empty matrix")
-    n = len(a[0])
-    if n == 0 or any(len(r) != n for r in a):
-        raise DimensionMismatchError("ragged or empty matrix")
-
-    u = [list(r) for r in identity_matrix(k)]
-    ui = [list(r) for r in identity_matrix(k)]
-    v = [list(r) for r in identity_matrix(n)]
-    vi = [list(r) for r in identity_matrix(n)]
-
-    def row_add(i, j, c):  # row i += c * row j
-        for s in range(n):
-            a[i][s] += c * a[j][s]
-        for s in range(k):
-            u[i][s] += c * u[j][s]
-        for s in range(k):
-            ui[s][j] -= c * ui[s][i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for s in range(k):
-            ui[s][i], ui[s][j] = ui[s][j], ui[s][i]
-
-    def row_neg(i):
-        for s in range(n):
-            a[i][s] = -a[i][s]
-        for s in range(k):
-            u[i][s] = -u[i][s]
-        for s in range(k):
-            ui[s][i] = -ui[s][i]
-
-    def col_add(j, l, c):  # col j += c * col l
-        for s in range(k):
-            a[s][j] += c * a[s][l]
-        for s in range(n):
-            v[s][j] += c * v[s][l]
-        for s in range(n):
-            vi[l][s] -= c * vi[j][s]
-
-    def col_swap(j, l):
-        for s in range(k):
-            a[s][j], a[s][l] = a[s][l], a[s][j]
-        for s in range(n):
-            v[s][j], v[s][l] = v[s][l], v[s][j]
-        vi[j], vi[l] = vi[l], vi[j]
-
-    rank_limit = min(k, n)
-    t = 0
-    while t < rank_limit:
-        # pick smallest-magnitude nonzero pivot in the trailing block
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-
-        while True:
-            dirty = False
-            for i in range(t + 1, k):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:  # remainder becomes the new, smaller pivot
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, k)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-
-        # enforce the divisibility chain before moving on
-        pivot = a[t][t]
-        fixed = True
-        for i in range(t + 1, k):
-            for j in range(t + 1, n):
-                if a[i][j] % pivot != 0:
-                    row_add(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            t += 1
-
-    for i in range(rank_limit):
-        if a[i][i] < 0:
-            row_neg(i)
-
-    divisors = tuple(a[i][i] for i in range(rank_limit))
-    return SNFResult(
-        divisors,
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in v),
-        tuple(tuple(r) for r in ui),
-        tuple(tuple(r) for r in vi),
-    )
-
-
-def vector_gcd(xs: Iterable[int]) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g

@@ -216,7 +216,6 @@ def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
     example included); the output passes the definitional check by
     construction of the greedy algorithm.
     """
-    require_positive_definite(g)
     n = g.n
     _, minima = lattice_minimum(g)
     first = min((v for v, _ in minima.vectors), key=vector_key)
@@ -236,7 +235,6 @@ def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
     delta = Fraction(delta)
     if not (F(1, 4) < delta <= 1):
         raise ValueError(f"delta must satisfy 1/4 < delta <= 1, got {delta}")
-    require_positive_definite(g)
     a, den = g.scaled()
     t, swaps = lll_transform(a, delta)[:2]
     reduced_int = transform_gram_int(a, t)
@@ -253,7 +251,6 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     witness proves the input basis is not Hermite-reduced; exhausting the
     budget proves nothing.
     """
-    require_positive_definite(g)
     n = g.n
     a, den = g.scaled()
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled

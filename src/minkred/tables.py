@@ -12,11 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import lcm
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import UnsupportedDimensionError
-from .exactlin import vector_gcd
 
 F = Fraction
 
@@ -171,7 +170,7 @@ def _expand_column(column, n):
             v = list(perm)
             for pos, s in zip(positions, signs):
                 v[pos] *= s
-            if vector_gcd(v) != 1:
+            if gcd(*v) != 1:
                 continue
             out.add(canonical_sign(v))
     return [ExpandedCandidate(v, _pivot(v)) for v in out]
@@ -236,21 +235,27 @@ def max_theorem_bound(n: int) -> int:
     )
 
 
-def class_rep_set(cls: CenteringClass) -> frozenset:
-    """Full set of nontrivial coset representatives generated (mod 1) by the
-    class's relevant rows."""
-    n = cls.dimension
-    zero = tuple(F(0) for _ in range(n))
+def _span_mod_1(generators, n) -> set:
+    """The subgroup of (Q/Z)^n spanned by the rational generators, as
+    vectors reduced into [0,1)^n, zero included. A finite group is closed
+    under addition alone, so the closure needs no negation."""
+    zero = (F(0),) * n
     group = {zero}
     frontier = [zero]
     while frontier:
         base = frontier.pop()
-        for row in cls.relevant_rows:
+        for row in generators:
             nxt = tuple((a + b) % 1 for a, b in zip(base, row))
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
-    return frozenset(g for g in group if g != zero)
+    return group
+
+
+def class_rep_set(cls: CenteringClass) -> frozenset:
+    """Full set of nontrivial coset representatives generated (mod 1) by the
+    class's relevant rows."""
+    return frozenset(g for g in _span_mod_1(cls.relevant_rows, cls.dimension) if any(g))
 
 
 def tail_gcd_index(coords) -> Optional[int]:
@@ -261,7 +266,7 @@ def tail_gcd_index(coords) -> Optional[int]:
     """
     g = 0
     for i in range(len(coords) - 1, -1, -1):
-        g = vector_gcd((g, coords[i]))
+        g = gcd(g, coords[i])
         if g == 1:
             return i
     return None

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .enumeration import coset_minima, lattice_minimum
 from .errors import NotReducedError, UnsupportedDimensionError
-from .exactlin import GramMatrix, IntVector, require_positive_definite
+from .exactlin import GramMatrix, IntVector
 from .reduction import is_minkowski_reduced_table
 from .tables import MAX_TABLE_DIM, relevant_abs_patterns
 
@@ -51,7 +51,6 @@ def relevant_vectors(g: GramMatrix) -> RelevantVectorSet:
     Exact: a coset whose minimum is attained by more than one +-pair is a
     tie and yields no relevant vector.
     """
-    require_positive_definite(g)
     n = g.n
     if n > MAX_COSET_DIM:
         raise UnsupportedDimensionError(

@@ -1,15 +1,16 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately implemented by a different route than the
-library (Gaussian elimination instead of Bareiss, gcd-of-minors instead of
-elimination SNF, box enumeration instead of pruned search) so a bug in the
-library cannot hide in its own oracle.
+library (Gaussian elimination instead of Bareiss, gcd of minors instead of
+Euclid completion, a search over the grid (1/V) Z^n instead of the group
+spanned by adj(M) / det M, box enumeration instead of pruned search) so a
+bug in the library cannot hide in its own oracle.
 """
 
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def frac_det_gauss(rows):
@@ -53,28 +54,6 @@ def minor_pivots(rows):
     return pivots
 
 
-def snf_divisors_via_minors(rows):
-    """Smith divisors d_i = gcd(i-minors) / gcd((i-1)-minors)."""
-    k = len(rows)
-    n = len(rows[0])
-    r = min(k, n)
-    gcds = [1]
-    for size in range(1, r + 1):
-        g = 0
-        for ri in combinations(range(k), size):
-            for ci in combinations(range(n), size):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                g = gcd(g, int(frac_det_gauss(sub)))
-        gcds.append(g)
-    divisors = []
-    for i in range(1, r + 1):
-        if gcds[i] == 0:
-            divisors.extend([0] * (r - i + 1))
-            break
-        divisors.append(gcds[i] // gcds[i - 1])
-    return divisors
-
-
 def minor_gcd(rows):
     """gcd of the k x k minors of a k x n integer system: 1 exactly when
     the system is primitive, 0 when it is dependent."""
@@ -82,6 +61,19 @@ def minor_gcd(rows):
     for cols in combinations(range(len(rows[0])), len(rows)):
         g = gcd(g, int(frac_det_gauss([[row[j] for j in cols] for row in rows])))
     return g
+
+
+def brute_coset_reps(rows):
+    """(V, reps, U) of Z^n over the sublattice spanned by the n integer
+    vectors ``rows``: V = |det|, and reps are every y in {0, 1/V, ..,
+    (V-1)/V}^n whose combination sum_j y_j rows[j] is integral, sorted."""
+    n = len(rows)
+    v = abs(int(frac_det_gauss(rows)))
+    reps = []
+    for k in product(range(v), repeat=n):
+        if all(sum(rows[j][i] * k[j] for j in range(n)) % v == 0 for i in range(n)):
+            reps.append(tuple(Fraction(x, v) for x in k))
+    return v, tuple(sorted(reps)), lcm(*(x.denominator for y in reps for x in y))
 
 
 def eval_q(rows, x):

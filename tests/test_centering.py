@@ -17,6 +17,7 @@ from minkred.reduction import minkowski_reduce
 from minkred.tables import centering_classes
 
 from _generators import random_generic_gram
+from _oracles import brute_coset_reps
 
 F = Fraction
 H = F(1, 2)
@@ -61,6 +62,21 @@ class TestCenteringData:
     def test_dependent_rejected(self):
         with pytest.raises(DependentVectorsError):
             centering_data([(1, 0), (2, 0)])
+
+    def test_dimension_one(self):
+        data = centering_data([(3,)])
+        assert data.index_V == 3 and data.denominator_U == 3
+        assert data.coset_reps == ((F(0),), (F(1, 3),), (F(2, 3),))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_grid_oracle(self, seed):
+        rng = random.Random(seed + 700)
+        n = rng.randint(1, 4)
+        while True:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if 1 <= abs(int_determinant(rows)) <= 12:
+                break
+        assert tuple(centering_data(rows)) == brute_coset_reps(rows)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_u_divides_v_and_rep_count(self, seed):

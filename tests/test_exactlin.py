@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minkred
 from minkred.errors import (
     DependentVectorsError,
     DimensionMismatchError,
@@ -21,17 +23,15 @@ from minkred.exactlin import (
     gram_from_basis,
     identity_matrix,
     int_determinant,
+    int_matrix_rank,
     integral_gram_schmidt,
     is_positive_definite,
     ldl_decompose,
-    mat_mul,
-    mat_transpose,
-    smith_normal_form,
 )
 from minkred.corpus import example9_gram, example9_embedded
 
 from _generators import random_generic_gram, random_unimodular
-from _oracles import frac_det_gauss, minor_pivots, snf_divisors_via_minors, eval_q
+from _oracles import frac_det_gauss, minor_pivots, eval_q
 
 
 F = Fraction
@@ -100,6 +100,22 @@ class TestLDL:
             if first_bad is None:
                 assert [F(d[k + 1], d[k]) for k in range(n)] == pivots
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2], [2, 1]],
+            [[1, 0], [0, -1]],
+            [[-1, 0], [0, 1]],
+            [[1, 2], [2, 4]],
+            [[2, 1, 0], [1, 2, 3], [0, 3, 1]],
+            [[F(1, 2), F(1, 3)], [F(1, 3), F(1, 5)]],
+        ],
+    )
+    def test_indefinite_raises_at_first_bad_pivot(self, rows):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            ldl_decompose(GramMatrix(rows))
+        assert err.value.pivot_index == first_nonpositive_pivot(GramMatrix(rows))
+
     def test_first_bad_pivot_index(self):
         assert first_nonpositive_pivot(GramMatrix([[1, 0], [0, -1]])) == 1
         assert first_nonpositive_pivot(GramMatrix([[-1, 0], [0, 1]])) == 0
@@ -149,6 +165,10 @@ class TestDeterminant:
     def test_a2(self):
         assert determinant([[2, 1], [1, 2]]) == 3
 
+    def test_empty_matrix_is_one(self):
+        # the 0 x 0 minor, which cofactors of a 1 x 1 matrix need
+        assert int_determinant([]) == 1
+
     def test_rational_entries(self):
         m = [[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]
         assert determinant(m) == frac_det_gauss(m) == F(1, 10) - F(1, 12)
@@ -167,69 +187,30 @@ class TestDeterminant:
         assert determinant(apply_transform(g, t).rows) == determinant(g.rows)
 
 
-class TestSmith:
-    def test_gcd_row(self):
-        r = smith_normal_form([[2, 3]])
-        assert r.divisors == (1,)
-        d = mat_mul(mat_mul(r.left, [[2, 3]]), r.right)
-        assert d == ((1, 0),)
-
-    def test_diag2(self):
-        r = smith_normal_form([[2, 0], [0, 2]])
-        assert r.divisors == (2, 2)
-
-    def test_primitive_system_example9(self):
-        rows = [tuple(1 if j == i else 0 for j in range(9)) for i in range(7)]
-        rows.append((-2, -1, -1, -1, -1, -1, -1, 2, 3))
-        r = smith_normal_form(rows)
-        assert r.divisors == (1,) * 8
-        assert snf_divisors_via_minors(rows) == [1] * 8
-
-    def test_transforms_and_inverses(self):
-        m = [[12, 6, 4], [3, 9, 6], [2, 16, 14]]
-        r = smith_normal_form(m)
-        assert r.divisors == tuple(snf_divisors_via_minors(m))
-        d = mat_mul(mat_mul(r.left, m), r.right)
-        for i in range(3):
-            for j in range(3):
-                assert d[i][j] == (r.divisors[i] if i == j else 0)
-        assert mat_mul(r.left, r.left_inv) == identity_matrix(3)
-        assert mat_mul(r.right, r.right_inv) == identity_matrix(3)
-
-    def test_zero_and_rank_deficient(self):
-        assert smith_normal_form([[0, 0], [0, 0]]).divisors == (0, 0)
-        assert smith_normal_form([[1, 2], [2, 4]]).divisors == (1, 0)
-
+class TestRank:
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.randoms(use_true_random=False),
-    )
-    def test_matches_minor_oracle_and_chain(self, k, n, rng):
-        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
-        r = smith_normal_form(m)
-        assert list(r.divisors) == snf_divisors_via_minors(m)
-        for a, b in zip(r.divisors, r.divisors[1:]):
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
-        d = mat_mul(mat_mul(r.left, m), r.right)
-        for i in range(k):
-            for j in range(n):
-                assert d[i][j] == (r.divisors[i] if i == j and i < len(r.divisors) else 0)
+    @given(st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_matches_minor_oracle(self, k, n, rng):
+        # low ranks come from a product of thin factors
+        inner = rng.randint(1, min(k, n))
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(k)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        expected = max(
+            (
+                size
+                for size in range(1, min(k, n) + 1)
+                for ri in combinations(range(k), size)
+                for ci in combinations(range(n), size)
+                if frac_det_gauss([[m[i][j] for j in ci] for i in ri])
+            ),
+            default=0,
+        )
+        assert int_matrix_rank(m) == expected
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 3), st.randoms(use_true_random=False))
-    def test_divisors_invariant_under_unimodular(self, n, rng):
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        t = random_unimodular(rng, n)
-        left = mat_mul(t, m)
-        right = mat_mul(m, t)
-        base = smith_normal_form(m).divisors
-        assert smith_normal_form(left).divisors == base
-        assert smith_normal_form(right).divisors == base
+
+def test_public_names_resolve():
+    assert all(hasattr(minkred, name) for name in minkred.__all__)
 
 
 class TestGramFromBasis:

@@ -13,6 +13,7 @@ from minkred.exactlin import (
     apply_transform,
     determinant,
     evaluate_form,
+    first_nonpositive_pivot,
     identity_matrix,
     int_determinant,
     integral_gram_schmidt,
@@ -31,6 +32,7 @@ from minkred.reduction import (
     minkowski_reduce,
 )
 from minkred.tables import tail_gcd_index
+from minkred.voronoi import relevant_vectors
 
 from _generators import (
     random_generic_gram,
@@ -358,6 +360,30 @@ class TestHermiteWitness:
             lam, _ = lattice_minimum(g)
             if all(g[i, i] == lam for i in range(g.n)):
                 assert not hermite_witness_search(g, budget=5000).found
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[1, 2], [2, 4]], [[2, 1, 0], [1, 2, 3], [0, 3, 1]]],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        relevant_vectors,
+        greedy_minkowski_basis,
+        lll_reduce,
+        hermite_witness_search,
+        minkowski_reduce,
+        lattice_minimum,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_non_pd_raises_at_first_bad_pivot(entry, rows):
+    # the LLL view's kernel run is the check; the expected index comes
+    # from a separate GramMatrix, so no cached verdict is shared
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        entry(GramMatrix(rows))
+    assert err.value.pivot_index == first_nonpositive_pivot(GramMatrix(rows))
 
 
 class TestReductionPreservesStructure:

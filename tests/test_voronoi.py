@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkred import enumeration
+from minkred import enumeration, voronoi
 from minkred.corpus import named_lattice
 from minkred.errors import NotReducedError, UnsupportedDimensionError
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, mat_vec
@@ -133,6 +133,38 @@ class TestTable4Membership:
     def test_requires_reduced(self):
         with pytest.raises(NotReducedError):
             check_table4_membership(GramMatrix([[4, 3], [3, 5]]))
+
+    @pytest.mark.parametrize(
+        "name, checked, max_abs",
+        [
+            ("A5", 15, 1),
+            ("D5", 20, 2),
+            ("A6", 21, 1),
+            ("D6", 30, 2),
+            ("E6", 36, 3),
+            ("D4-centered-cubic", 12, 2),
+        ],
+    )
+    def test_named_lattices(self, name, checked, max_abs):
+        g = named_lattice(name)
+        assert minkowski_reduce(g).iterations == 0
+        rep = check_table4_membership(g)
+        assert (rep.checked, rep.matched, rep.max_abs_coordinate) == (checked, checked, max_abs)
+        assert rep.all_match and rep.dimension == g.n
+
+    def test_mismatches_are_reported(self, monkeypatch):
+        # without the patterns that hold a 3, E6's relevant vectors with a
+        # coordinate 3 no longer match
+        patterns = voronoi.relevant_abs_patterns
+        monkeypatch.setattr(
+            voronoi,
+            "relevant_abs_patterns",
+            lambda n: frozenset(p for p in patterns(n) if 3 not in p),
+        )
+        rep = check_table4_membership(named_lattice("E6"))
+        assert rep.mismatches and not rep.all_match
+        assert rep.matched + len(rep.mismatches) == rep.checked == 36
+        assert all(3 in map(abs, v) for v, _ in rep.mismatches)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_reduced_dim5(self, seed):
