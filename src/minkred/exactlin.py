@@ -37,10 +37,14 @@ class GramMatrix:
     Symmetry is validated at construction; positive definiteness is a
     property of most operations' preconditions and is checked on demand
     (see :func:`first_nonpositive_pivot`). Instances are immutable and
-    hashable.
+    hashable. Each instance caches what is derived from it on first use:
+    the scaled integer Gram (:meth:`scaled`), the first bad pivot, the LLL
+    view (``enumeration._reduced_view``) and the table verdict
+    (``reduction.is_minkowski_reduced_table``). The caches belong to the
+    instance; an equal GramMatrix computes its own.
     """
 
-    __slots__ = ("n", "rows", "_scaled", "_first_bad_pivot", "_view")
+    __slots__ = ("n", "rows", "_scaled", "_first_bad_pivot", "_view", "_table")
 
     def __init__(self, rows):
         frac_rows = _as_frac_rows(rows)
@@ -59,6 +63,7 @@ class GramMatrix:
         object.__setattr__(self, "_scaled", None)
         object.__setattr__(self, "_first_bad_pivot", -2)  # -2 = not computed
         object.__setattr__(self, "_view", None)  # LLL view, see enumeration
+        object.__setattr__(self, "_table", None)  # table verdict, see reduction
 
     def __setattr__(self, name, value):
         raise AttributeError("GramMatrix is immutable")

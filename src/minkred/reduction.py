@@ -8,6 +8,14 @@ finite inequality tables (dimensions 2..6) never drive it; they are the
 independent certificate, and their agreement with the definitional check
 on random forms is itself one of the headline properties this package
 exists to exercise.
+
+The certificate scans the table candidates in canonical order, grouped by
+|coords| and check index: the exact integral bound
+Q(u) >= sum c_i^2 a_ii - 2 sum |c_i c_j| |a_ij| holds for every sign image
+u of a group, so a group whose bound reaches Q(e_i) is skipped unscanned.
+Its verdict is cached on the GramMatrix, next to the scaled Gram, the
+first bad pivot and the LLL view, so every check of one form shares one
+scan.
 """
 
 from __future__ import annotations
@@ -72,21 +80,42 @@ class WitnessSearchResult(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _scan_struct(n: int):
-    """Per-dimension candidate scan structure: (coords, check index,
-    flattened quadratic-form coefficient pairs), in canonical scan order."""
-    out = []
+    """Per-dimension candidate scan structure, built on first use.
+
+    Returns (runs, groups). A group is every candidate with the same
+    |coords| and check index. groups[g] holds the (index, coefficient)
+    pairs of the group's exact lower bound
+    Q(u) >= sum c_i^2 a_ii - 2 sum |c_i c_j| |a_ij|, indexed into the flat
+    entries of the scaled Gram followed by their negated absolute values.
+    runs cut the canonical scan order into maximal stretches of one group:
+    (group, check index, members), each member (coords, flattened
+    quadratic-form coefficient pairs).
+    """
+    group_of: dict = {}
+    shared: dict = {}  # one tuple per distinct pair: they recur across 2470 candidates
+    groups = []
+    runs = []
     for cand in tammela_reduction_candidates(n):
         coords = cand.coords
         ci = tail_gcd_index(coords)
-        pairs = []
+        pairs, bound = [], []
         for i in range(n):
             if coords[i]:
                 pairs.append((i * n + i, coords[i] * coords[i]))
+                bound.append(pairs[-1])
                 for j in range(i + 1, n):
                     if coords[j]:
                         pairs.append((i * n + j, 2 * coords[i] * coords[j]))
-        out.append((coords, ci, tuple(pairs)))
-    return tuple(out)
+                        bound.append((n * n + i * n + j, abs(pairs[-1][1])))
+        key = (tuple(abs(x) for x in coords), ci)
+        if key not in group_of:
+            group_of[key] = len(groups)
+            groups.append(tuple(bound))
+        gid = group_of[key]
+        if not runs or runs[-1][0] != gid:
+            runs.append((gid, ci, []))
+        runs[-1][2].append((coords, tuple(shared.setdefault(p, p) for p in pairs)))
+    return tuple((gid, ci, tuple(members)) for gid, ci, members in runs), tuple(groups)
 
 
 def _first_violation_int(a, n, struct):
@@ -94,7 +123,10 @@ def _first_violation_int(a, n, struct):
 
     Monotonicity Q(e_{i+1}) >= Q(e_i) is checked first (as the candidate
     u = e_{i+1} against index i), then the expanded candidates in their
-    canonical order.
+    canonical order. A group whose exact lower bound already reaches
+    Q(e_ci) holds no violation, so its members are skipped; each bound is
+    computed when the scan first meets its group, so the first violation
+    is the one a flat scan finds.
     """
     diag = [a[i][i] for i in range(n)]
     for i in range(n - 1):
@@ -102,28 +134,50 @@ def _first_violation_int(a, n, struct):
             u = tuple(1 if j == i + 1 else 0 for j in range(n))
             return u, i, diag[i + 1]
     flat = [x for row in a for x in row]
-    for coords, ci, pairs in struct:
-        s = 0
-        for idx, c in pairs:
-            s += c * flat[idx]
-        if s < diag[ci]:
-            return coords, ci, s
+    signed = flat + [-abs(x) for x in flat]
+    runs, groups = struct
+    skip = [None] * len(groups)
+    for gid, ci, members in runs:
+        t = diag[ci]
+        if skip[gid] is None:
+            b = 0
+            for idx, c in groups[gid]:
+                b += c * signed[idx]
+            skip[gid] = b >= t
+        if skip[gid]:
+            continue
+        for coords, pairs in members:
+            s = 0
+            for idx, c in pairs:
+                s += c * flat[idx]
+            if s < t:
+                return coords, ci, s
     return None
 
 
 def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
     """Certify reducedness by the finite inequality system (2 <= n <= 6).
 
-    Returns True, or the first Violation in canonical candidate order.
+    Returns True, or the first Violation in canonical candidate order,
+    the same one a flat scan of every candidate finds: only groups of
+    sign images whose exact lower bound already reaches Q(e_i) are
+    skipped. The verdict is cached in g's _table slot (g is immutable),
+    so check_theorem_bound and check_table4_membership read it instead
+    of scanning again; an equal but distinct GramMatrix scans afresh.
     """
     struct = _scan_struct(g.n)  # raises UnsupportedDimensionError outside 2..6
-    require_positive_definite(g)
-    a, den = g.scaled()
-    hit = _first_violation_int(a, g.n, struct)
-    if hit is None:
-        return True
-    u, i, q = hit
-    return Violation(u, i, F(q, den), F(a[i][i], den))
+    verdict = object.__getattribute__(g, "_table")
+    if verdict is None:
+        require_positive_definite(g)
+        a, den = g.scaled()
+        hit = _first_violation_int(a, g.n, struct)
+        if hit is None:
+            verdict = True
+        else:
+            u, i, q = hit
+            verdict = Violation(u, i, F(q, den), F(a[i][i], den))
+        object.__setattr__(g, "_table", verdict)
+    return verdict
 
 
 def _shortest_violation(view, thresholds):

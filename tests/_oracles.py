@@ -3,8 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 library (Gaussian elimination instead of Bareiss, gcd of minors instead of
 Euclid completion, a search over the grid (1/V) Z^n instead of the group
-spanned by adj(M) / det M, box enumeration instead of pruned search) so a
-bug in the library cannot hide in its own oracle.
+spanned by adj(M) / det M, box enumeration instead of pruned search, a
+flat scan of every table candidate instead of grouped bounds) so a bug in
+the library cannot hide in its own oracle.
 """
 
 from fractions import Fraction
@@ -152,6 +153,30 @@ def brute_first_violation(rows):
             if q < rows[i][i] and reduce(gcd, x[i:], 0) == 1:
                 return i, q
     return None
+
+
+def table_checks(rows, candidates):
+    """(u, i, Q(u), Q(e_i)) for every check of the table certificate, in
+    scan order: monotonicity Q(e_{k+1}) >= Q(e_k) as u = e_{k+1} against
+    k, then each candidate against the largest i with gcd(u_i..u_n) = 1.
+    Q is evaluated on every candidate; none is ever skipped."""
+    n = len(rows)
+    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    a = [[int(Fraction(x) * den) for x in row] for row in rows]
+    for k in range(n - 1):
+        u = tuple(int(j == k + 1) for j in range(n))
+        yield u, k, Fraction(a[k + 1][k + 1], den), Fraction(a[k][k], den)
+    for u in candidates:
+        i = max(i for i in range(n) if reduce(gcd, u[i:], 0) == 1)
+        nz = [j for j in range(n) if u[j]]
+        q = sum(u[j] * u[k] * a[j][k] for j in nz for k in nz)
+        yield tuple(u), i, Fraction(q, den), Fraction(a[i][i], den)
+
+
+def flat_table_first_violation(rows, candidates):
+    """The table certificate by a flat scan: True, or the first check of
+    :func:`table_checks` with Q(u) < Q(e_i)."""
+    return next((c for c in table_checks(rows, candidates) if c[2] < c[3]), True)
 
 
 def brute_coset_minima(rows, parity, bound):

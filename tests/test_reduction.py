@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from minkred import reduction
+from minkred.centering import check_theorem_bound
 from minkred.corpus import example9_gram, example9_reduced_not_hermite, named_lattice
 from minkred.enumeration import lattice_minimum, successive_minima
-from minkred.errors import NotPositiveDefiniteError, UnsupportedDimensionError
+from minkred.errors import NotPositiveDefiniteError, NotReducedError, UnsupportedDimensionError
 from minkred.exactlin import (
     GramMatrix,
     apply_transform,
@@ -17,6 +18,7 @@ from minkred.exactlin import (
     identity_matrix,
     int_determinant,
     integral_gram_schmidt,
+    is_positive_definite,
     ldl_decompose,
     mat_mul,
     transform_gram_int,
@@ -31,8 +33,8 @@ from minkred.reduction import (
     lll_reduce,
     minkowski_reduce,
 )
-from minkred.tables import tail_gcd_index
-from minkred.voronoi import relevant_vectors
+from minkred.tables import tail_gcd_index, tammela_reduction_candidates
+from minkred.voronoi import check_table4_membership, relevant_vectors
 
 from _generators import (
     random_generic_gram,
@@ -40,7 +42,7 @@ from _generators import (
     random_unimodular,
     skewed_orthogonal_gram,
 )
-from _oracles import brute_first_violation
+from _oracles import brute_first_violation, flat_table_first_violation, table_checks
 
 F = Fraction
 
@@ -71,6 +73,162 @@ class TestTableCheck:
             is_minkowski_reduced_table(example9_gram())
         with pytest.raises(NotPositiveDefiniteError):
             is_minkowski_reduced_table(GramMatrix([[1, 3], [3, 1]]))
+
+
+def _flat(g):
+    return flat_table_first_violation(
+        g.rows, [c.coords for c in tammela_reduction_candidates(g.n)]
+    )
+
+
+def _assert_table_matches_flat_scan(g):
+    got = is_minkowski_reduced_table(g)
+    assert (got if got is True else tuple(got)) == _flat(g)
+
+
+def _check_values(g):
+    """Every table check as Q(u) - Q(e_i), >= 0 when it holds."""
+    cands = [c.coords for c in tammela_reduction_candidates(g.n)]
+    return [q_u - q_ei for _, _, q_u, q_ei in table_checks(g.rows, cands)]
+
+
+def _no_scan(*args):
+    raise AssertionError("the table was scanned again")
+
+
+def _face_form(rng, n):
+    """An integral reduced form with a tight check, Q(u) = Q(e_i) or
+    Q(e_{k+1}) = Q(e_k): the segment from a reduced form G to a moved copy
+    H leaves the domain at t = min f(G) / (f(G) - f(H)) over the checks f
+    that H fails, and den * ((1 - t) G + t H) is integral."""
+    g = minkowski_reduce(random_generic_gram(rng, n, spread=rng.choice([3, 10]))).reduced
+    fg = _check_values(g)
+    while True:
+        h = apply_transform(g, random_unimodular(rng, n, ops=1, coeff=2))
+        fh = _check_values(h)
+        if min(fh) < 0:
+            break
+    t = min(F(a, a - b) for a, b in zip(fg, fh) if b < 0)
+    num, den = t.numerator, t.denominator
+    return GramMatrix(
+        [[(den - num) * x + num * y for x, y in zip(rg, rh)] for rg, rh in zip(g.rows, h.rows)]
+    )
+
+
+class TestTableCertificate:
+    """The grouped scan against a flat scan of every candidate."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generic_unreduced(self, seed):
+        rng = random.Random(seed + 9000)
+        for n in range(2, 7):
+            g = random_generic_gram(rng, n, spread=rng.choice([2, 3, 10, 50]))
+            _assert_table_matches_flat_scan(g)
+            _assert_table_matches_flat_scan(apply_transform(g, random_unimodular(rng, n)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reduced_moved_by_one_column_operation(self, seed):
+        rng = random.Random(seed + 9100)
+        for n in range(2, 7):
+            reduced = minkowski_reduce(random_generic_gram(rng, n, spread=rng.choice([3, 50])))
+            _assert_table_matches_flat_scan(reduced.reduced)
+            t = random_unimodular(rng, n, ops=1, coeff=2)
+            _assert_table_matches_flat_scan(apply_transform(reduced.reduced, t))
+
+    @pytest.mark.parametrize(
+        "name", ["A2", "A3", "A4", "A5", "A6", "D3", "D4", "D5", "D6", "E6", "D4-centered-cubic"]
+    )
+    def test_root_lattices_with_ties(self, name):
+        rng = random.Random(name)
+        g = named_lattice(name)
+        _assert_table_matches_flat_scan(g)
+        for _ in range(3):
+            skewed = apply_transform(g, random_unimodular(rng, g.n))
+            _assert_table_matches_flat_scan(skewed)
+            reduced = minkowski_reduce(skewed).reduced
+            assert _flat(reduced) is True
+            _assert_table_matches_flat_scan(reduced)
+            _assert_table_matches_flat_scan(
+                apply_transform(reduced, random_unimodular(rng, g.n, ops=1, coeff=1))
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forms_on_a_face(self, seed):
+        rng = random.Random(seed + 9200)
+        for n in range(2, 7):
+            g = _face_form(rng, n)
+            assert min(_check_values(g)) == 0
+            assert is_minkowski_reduced_table(g) is True
+            _assert_table_matches_flat_scan(g)
+            # one step off the face, along the diagonal and across a row
+            rows = [list(r) for r in g.rows]
+            i = rng.randrange(n)
+            rows[i][i] += 1
+            _assert_table_matches_flat_scan(GramMatrix(rows))
+            for j in range(n):
+                if j != i:
+                    rows[i][j] = rows[j][i] = rows[i][j] + rng.choice([-1, 1])
+            if is_positive_definite(GramMatrix(rows)):
+                _assert_table_matches_flat_scan(GramMatrix(rows))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scan_groups_partition_the_candidates(self, n):
+        runs, groups = reduction._scan_struct(n)
+        assert len(groups) == {2: 1, 3: 4, 4: 11, 5: 31, 6: 138}[n]
+        members = [(coords, gid, ci) for gid, ci, ms in runs for coords, _ in ms]
+        assert [m[0] for m in members] == [c.coords for c in tammela_reduction_candidates(n)]
+        keys = {}
+        for coords, gid, ci in members:
+            assert ci == tail_gcd_index(coords)
+            keys.setdefault(gid, set()).add((tuple(abs(x) for x in coords), ci))
+        assert sorted(keys) == list(range(len(groups)))
+        assert all(len(k) == 1 for k in keys.values())
+        assert len(set().union(*keys.values())) == len(groups)
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+
+    def test_one_scan_per_form(self, monkeypatch):
+        rng = random.Random(9300)
+        g = minkowski_reduce(random_generic_gram(rng, 5)).reduced
+        assert is_minkowski_reduced_table(g) is True
+        monkeypatch.setattr(reduction, "_first_violation_int", _no_scan)
+        assert check_theorem_bound(g).counterexamples == ()
+        assert check_table4_membership(g).all_match
+        assert is_minkowski_reduced_table(g) is True
+
+    def test_cached_violation_still_raises(self, monkeypatch):
+        rows = apply_transform(named_lattice("E6"), random_unimodular(random.Random(9400), 6)).rows
+        fresh = {}
+        for check in (check_theorem_bound, check_table4_membership):
+            with pytest.raises(NotReducedError) as err:
+                check(GramMatrix(rows))
+            fresh[check] = str(err.value)
+        g = GramMatrix(rows)
+        v = is_minkowski_reduced_table(g)
+        assert isinstance(v, Violation)
+        monkeypatch.setattr(reduction, "_first_violation_int", _no_scan)
+        for check in (check_theorem_bound, check_table4_membership):
+            with pytest.raises(NotReducedError) as err:
+                check(g)
+            assert str(err.value) == fresh[check]
+            assert str(v) in fresh[check]
+
+    def test_no_cache_across_instances(self, monkeypatch):
+        scans = []
+        scan = reduction._first_violation_int
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(reduction, "_first_violation_int", counted)
+        rows = minkowski_reduce(random_generic_gram(random.Random(9500), 6)).reduced.rows
+        first, second = GramMatrix(rows), GramMatrix(rows)
+        assert first == second
+        assert is_minkowski_reduced_table(first) is True
+        assert is_minkowski_reduced_table(first) is True
+        assert len(scans) == 1
+        assert is_minkowski_reduced_table(second) is True
+        assert len(scans) == 2
 
 
 class TestDefinitionalCheck:
