@@ -8,6 +8,11 @@ the form, built once per GramMatrix and cached on it, and witnesses are
 mapped back, which changes nothing observable. The view keeps the d and
 lambda that LLL ends with, so no search recomputes them.
 
+A shortest vector under a side condition (tail gcd 1, primitive
+extension, independence) is read from one lazy stream, _in_norm_order:
+Fincke-Pohst balls of doubling radius in Schnorr-Euchner norm order, each
+norm layer mapped back only when a search reaches it.
+
 Primitivity has one mechanism, :func:`_completion`: a unimodular C whose
 first columns are the chosen vectors. v extends them primitively iff the
 last coordinates of C^-1 v have gcd 1, as in Minkowski's definition.
@@ -16,10 +21,12 @@ last coordinates of C^-1 v have gcd 1, as in Minkowski's definition.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from ._lll import lll_transform, size_reduce_tail
+from ._lll import lll_transform
 from .errors import DependentVectorsError, DimensionMismatchError, NotPrimitiveError
 from .exactlin import (
     GramMatrix,
@@ -28,7 +35,6 @@ from .exactlin import (
     evaluate_form,
     identity_matrix,
     int_matrix_rank,
-    mat_mul,
     mat_vec,
     transform_gram_int,
 )
@@ -188,13 +194,28 @@ def _map_back(view: _ReducedView, coords):
     return canonical_sign(mat_vec(view.transform, coords))
 
 
-def _by_norm(view: _ReducedView, raw):
-    """_enumerate_core's output as (q, v) with v in the original
-    coordinates, sorted by (q, vector_key(v))."""
-    return sorted(
-        ((q, _map_back(view, coords)) for coords, q in raw),
-        key=lambda e: (e[0],) + vector_key(e[1]),
-    )
+def _by_norm(view: _ReducedView, raw, above=0):
+    """_enumerate_core's output with q > above as (q, v), v in the original
+    coordinates, in (q, vector_key(v)) order. The ball is sorted by q in
+    the view's coordinates; a norm layer is mapped back, and sorted by
+    vector_key, only when the caller reaches it."""
+    for q, layer in groupby(sorted((e for e in raw if e[1] > above), key=itemgetter(1)),
+                            key=itemgetter(1)):
+        for v in sorted((_map_back(view, coords) for coords, _ in layer), key=vector_key):
+            yield q, v
+
+
+def _in_norm_order(view: _ReducedView, cap):
+    """Every nonzero v with scaled norm q <= cap, one per +-pair, as (q, v)
+    in (q, vector_key(v)) order. The radius starts at the view's least
+    diagonal entry and doubles up to cap; each ball yields only the norms
+    above the previous radius, so a caller that stops early enumerates no
+    further ball, and no vector comes out twice."""
+    radius, done = min(view.a_red[i][i] for i in range(len(view.a_red))), 0
+    while done < cap:
+        radius = min(radius, cap)
+        yield from _by_norm(view, _enumerate_core(view, radius, 1), done)
+        done, radius = radius, 2 * radius
 
 
 def _by_exact_norm(view: _ReducedView, raw):
@@ -234,21 +255,20 @@ def successive_minima(g: GramMatrix) -> SuccessiveMinima:
     """Greedy system of successive minimum vectors.
 
     Each step takes a shortest vector linearly independent of the ones
-    already chosen; ties broken by :func:`vector_key`.
+    already chosen; ties broken by :func:`vector_key`. One norm-ordered
+    search, capped by the LLL basis's longest vector, serves every step.
     """
     n = g.n
     view = _reduced_view(g)
-    radius = min(view.a_red[i][i] for i in range(n))
-    while True:
-        chosen: list[IntVector] = []
-        norms: list[Fraction] = []
-        for q, v in _by_norm(view, _enumerate_core(view, radius, 1)):
-            if int_matrix_rank(chosen + [v]) == len(chosen) + 1:
-                chosen.append(v)
-                norms.append(F(q, view.den))
-                if len(chosen) == n:
-                    return SuccessiveMinima(tuple(norms), tuple(chosen))
-        radius *= 2
+    chosen: list[IntVector] = []
+    norms: list[Fraction] = []
+    for q, v in _in_norm_order(view, max(view.a_red[i][i] for i in range(n))):
+        if int_matrix_rank(chosen + [v]) == len(chosen) + 1:
+            chosen.append(v)
+            norms.append(F(q, view.den))
+            if len(chosen) == n:
+                break
+    return SuccessiveMinima(tuple(norms), tuple(chosen))
 
 
 def _completion(rows, n):
@@ -322,9 +342,9 @@ def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
 def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]) -> IntVector:
     """Shortest v extending the partial primitive system to a larger one.
 
-    Radius starts at the norm of the size-reduced completion column (always
-    feasible) and the candidate scan runs in (norm, pivot, coords) order,
-    so the result is deterministic.
+    The candidates come in (norm, pivot, coords) order, so the result is
+    deterministic. Column k of the completion is always a feasible
+    extension; its norm only caps the search, which guarantees it ends.
     """
     rows = [tuple(int(x) for x in v) for v in partial]
     k = len(rows)
@@ -334,24 +354,12 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
     if not is_primitive_system(rows):
         raise NotPrimitiveError("partial system is not primitive")
     completion, tail = _completion(rows, n)
-    # size-reduce the completion against the partial system: its column k
-    # stays a feasible extension, and only sets the search cap
-    r = size_reduce_tail(transform_gram_int(g.scaled()[0], completion), k)
-    if r:
-        completion = mat_mul(completion, r)
-    cap = evaluate_form(g, [row[k] for row in completion])  # guaranteed-feasible radius
     view = _reduced_view(g)
-    radius = F(min(view.a_red[i][i] for i in range(n)), view.den)
-    while True:
-        radius = min(radius, cap)
-        scaled = radius * view.den
-        raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
-        for _, v in _by_norm(view, raw):
-            if gcd(*mat_vec(tail, v)) == 1:
-                return v
-        if radius >= cap:
-            raise AssertionError("completion column vanished from its own ball")
-        radius *= 2
+    cap = int(evaluate_form(g, [row[k] for row in completion]) * view.den)
+    for _, v in _in_norm_order(view, cap):
+        if gcd(*mat_vec(tail, v)) == 1:
+            return v
+    raise AssertionError("completion column vanished from its own ball")
 
 
 def coset_minima(g: GramMatrix, parity: Sequence[int]):

@@ -1,13 +1,13 @@
 """Minkowski reduction and reducedness certification.
 
 The reducer works from the definition: Q(e_i) <= Q(u) for every u with
-gcd(u_i, ..., u_n) = 1, decided by exhaustive enumeration in any feasible
-dimension. It starts from the LLL basis and replaces e_k by a shortest
-admissible u at the smallest violated index k until none is left. The
-finite inequality tables (dimensions 2..6) never drive it; they are the
-independent certificate, and their agreement with the definitional check
-on random forms is itself one of the headline properties this package
-exists to exercise.
+gcd(u_i, ..., u_n) = 1, decided in any feasible dimension by one pass
+over the vectors in norm order, for every index at once. It starts from
+the LLL basis and replaces e_k by a shortest admissible u at the smallest
+violated index k until none is left. The finite inequality tables
+(dimensions 2..6) never drive it; they are the independent certificate,
+and their agreement with the definitional check on random forms is
+itself one of the headline properties this package exists to exercise.
 
 The certificate scans the table candidates in canonical order, grouped by
 |coords| and check index: the exact integral bound
@@ -30,6 +30,7 @@ from .enumeration import (
     _by_norm,
     _completion,
     _enumerate_core,
+    _in_norm_order,
     _reduced_view,
     _view_of,
     complete_to_basis,
@@ -42,6 +43,7 @@ from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
+    evaluate_form,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -186,36 +188,31 @@ def _shortest_violation(view, thresholds):
     thresholds[i] is the scaled Q(e_i) of the basis the view was built
     from. Returns (u, i, q): u in that basis, gcd(u_i, ..., u_n) = 1 and
     q = Q(u) < thresholds[i] the least such norm, ties broken by
-    vector_key. Indices are scanned in order within the current radius;
-    at the first index the radius cannot decide, it grows and the scan
-    starts again, so every index before the returned one is decided and
-    met.
+    vector_key. One pass in norm order decides every index: i moves on
+    once q reaches thresholds[i], since every shorter vector has been
+    seen, and a vector admissible at i is admissible at every earlier
+    index, so the first admissible u at the current i is the answer.
     """
-    n = len(thresholds)
-    radius = max(min(min(view.a_red[i][i] for i in range(n)), max(thresholds) - 1), 1)
-    while True:
-        vecs = _by_norm(view, _enumerate_core(view, radius, 1))
-        tails = [tail_gcd_index(v) for _, v in vecs]
-        for i in range(n):
-            for (q, v), ti in zip(vecs, tails):
-                if q >= thresholds[i]:
-                    break
-                if ti is not None and ti >= i:
-                    return v, i, q
-            if radius < thresholds[i] - 1:
-                break  # a shorter admissible u may lie beyond the radius
-        else:
-            return None
-        radius = min(2 * radius, max(thresholds[i:]) - 1)
+    i, n = 0, len(thresholds)
+    for q, v in _in_norm_order(view, max(thresholds) - 1):
+        while q >= thresholds[i]:
+            i += 1
+            if i == n:
+                return None
+        ti = tail_gcd_index(v)
+        if ti is not None and ti >= i:
+            return v, i, q
+    return None
 
 
 def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
     """Certify reducedness from the definition, any feasible dimension.
 
     Decides for each index i whether some u with gcd(u_i,...,u_n) = 1 has
-    Q(u) < Q(e_i), by complete enumeration with a growing radius
-    (internally LLL-preconditioned). Sound and complete. Returns True, or
-    the Violation at the smallest index with a shortest such u.
+    Q(u) < Q(e_i), by one complete enumeration in norm order with a
+    growing radius (internally LLL-preconditioned). Sound and complete.
+    Returns True, or the Violation at the smallest index with a shortest
+    such u.
     """
     a, den = g.scaled()
     hit = _shortest_violation(_reduced_view(g), [a[i][i] for i in range(g.n)])
@@ -306,10 +303,10 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     budget proves nothing.
     """
     n = g.n
-    a, den = g.scaled()
+    a = g.scaled()[0]
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled
     view = _reduced_view(g)
-    cands = _by_norm(view, _enumerate_core(view, targets[-1], 1))
+    cands = list(_by_norm(view, _enumerate_core(view, targets[-1], 1)))
     if not cands or cands[0][0] >= targets[-1]:
         # nothing strictly shorter than the longest profile entry exists,
         # so no profile can beat this one
@@ -343,11 +340,5 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     out = dfs([])
     if out is None or out == "budget":
         return WitnessSearchResult(None, None, min(nodes, budget), budget)
-    cols = [tuple(out[i][j] for i in range(n)) for j in range(n)]
-    profile = tuple(
-        sorted(
-            F(sum(cols[j][i] * a[i][k] * cols[j][k] for i in range(n) for k in range(n)), den)
-            for j in range(n)
-        )
-    )
+    profile = tuple(sorted(evaluate_form(g, col) for col in zip(*out)))
     return WitnessSearchResult(out, profile, nodes, budget)

@@ -123,6 +123,10 @@ def brute_short_vectors(rows, bound):
     sorted by (norm, coords). Exhaustive box enumeration."""
     bound = Fraction(bound)
     box = ball_box_bound(rows, bound)
+    # x^T G x on den * G, in integers: the box holds thousands of points
+    den = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    a = [[int(Fraction(v) * den) for v in row] for row in rows]
+    n = len(rows)
     found = []
     for x in product(*[range(-b, b + 1) for b in box]):
         if all(v == 0 for v in x):
@@ -130,9 +134,9 @@ def brute_short_vectors(rows, bound):
         first = next(v for v in x if v != 0)
         if first < 0:
             continue  # keep the +-representative with first nonzero > 0
-        q = eval_q(rows, x)
-        if q <= bound:
-            found.append((tuple(x), q))
+        q = sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n))
+        if q <= bound * den:
+            found.append((tuple(x), Fraction(q, den)))
     found.sort(key=lambda t: (t[1], t[0]))
     return found
 
@@ -145,13 +149,23 @@ def brute_minimum(rows):
     return lam, [v for v, q in vs if q == lam]
 
 
+def pivot_first(x):
+    """(last nonzero index, x): among equal norms, the vector whose last
+    nonzero coordinate comes first wins, then plain tuple order."""
+    return max(j for j in range(len(x)) if x[j]), tuple(x)
+
+
 def brute_first_violation(rows):
-    """(i, Q(u)) for the smallest i with some u, gcd(u_i..u_n) = 1 and
-    Q(u) < Q(e_i), taking u of least norm; None for a reduced form."""
+    """(i, Q(u), u) for the smallest i with some u, gcd(u_i..u_n) = 1 and
+    Q(u) < Q(e_i), taking the least u by (Q(u), pivot_first(u)), with its
+    first nonzero coordinate positive; None for a reduced form."""
+    ball = brute_short_vectors(rows, max(rows[i][i] for i in range(len(rows))))
     for i in range(len(rows)):
-        for x, q in brute_short_vectors(rows, rows[i][i]):
-            if q < rows[i][i] and reduce(gcd, x[i:], 0) == 1:
-                return i, q
+        hits = [(q, pivot_first(x)) for x, q in ball
+                if q < rows[i][i] and reduce(gcd, x[i:], 0) == 1]
+        if hits:
+            q, (_, u) = min(hits)
+            return i, q, u
     return None
 
 

@@ -4,9 +4,12 @@ from math import gcd
 
 import pytest
 
+from minkred import enumeration
 from minkred.corpus import E8_STAR_COORDS, E9_STAR_COORDS, example9_gram, named_lattice
 from minkred.enumeration import (
     _completion,
+    _in_norm_order,
+    _reduced_view,
     complete_to_basis,
     coset_minima,
     enumerate_short_vectors,
@@ -40,6 +43,7 @@ from _oracles import (
     frac_det_gauss,
     gram_inverse,
     minor_gcd,
+    pivot_first,
 )
 
 F = Fraction
@@ -106,6 +110,44 @@ class TestEnumerate:
         assert got == expected
 
 
+def _record_radii(monkeypatch):
+    """Patch the enumeration core to log the radius of every ball."""
+    radii = []
+    core = enumeration._enumerate_core
+
+    def logged(view, bound_num, *args, **kwargs):
+        radii.append(bound_num)
+        return core(view, bound_num, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_enumerate_core", logged)
+    return radii
+
+
+class TestInNormOrder:
+    """The lazy norm-ordered stream against the box oracle."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_box_brute_force(self, seed):
+        rng = random.Random(seed + 300)
+        n = rng.randint(2, 4)
+        g = random_pd_gram(rng, n)
+        if seed % 2:
+            g = apply_transform(g, random_unimodular(rng, n, ops=n, coeff=2))
+        view = _reduced_view(g)
+        least = min(view.a_red[i][i] for i in range(n))
+        for cap in (least - 1, least + least // 2, 4 * least + 3):
+            ball = brute_short_vectors(g.rows, F(cap, view.den))
+            ball.sort(key=lambda e: (e[1], pivot_first(e[0])))
+            expected = [(q * view.den, x) for x, q in ball]
+            assert list(_in_norm_order(view, cap)) == expected
+
+    def test_first_item_runs_one_search(self, monkeypatch):
+        view = _reduced_view(random_pd_gram(random.Random(310), 4))
+        radii = _record_radii(monkeypatch)
+        next(_in_norm_order(view, 10**6))
+        assert len(radii) == 1
+
+
 class TestLatticeMinimum:
     def test_example9(self):
         lam, minima = lattice_minimum(example9_gram())
@@ -146,6 +188,14 @@ class TestSuccessiveMinima:
     def test_diag_1_4(self):
         sm = successive_minima(GramMatrix([[1, 0], [0, 4]]))
         assert sm.norms == (1, 4)
+
+    @pytest.mark.parametrize("d, radii", [(4, [1, 2, 4]), (9, [1, 2, 4, 8, 9])])
+    def test_diag_1_d_radius_stops_at_largest_diagonal(self, monkeypatch, d, radii):
+        seen = _record_radii(monkeypatch)
+        sm = successive_minima(GramMatrix([[1, 0], [0, d]]))
+        assert sm.norms == (1, d)
+        assert sm.witnesses == ((1, 0), (0, 1))
+        assert seen == radii
 
     def test_example9_all_ones(self):
         sm = successive_minima(example9_gram())

@@ -231,6 +231,12 @@ class TestTableCertificate:
         assert len(scans) == 2
 
 
+def _assert_first_violation_matches_brute_force(g):
+    v = is_minkowski_reduced_definitional(g)
+    expected = brute_first_violation(g.rows)
+    assert (None if v is True else (v.index, v.q_u, v.vector)) == expected
+
+
 class TestDefinitionalCheck:
     def test_example9_star_basis_reduced(self):
         assert is_minkowski_reduced_definitional(example9_reduced_not_hermite()) is True
@@ -261,9 +267,19 @@ class TestDefinitionalCheck:
         rng = random.Random(seed + 6000)
         n = rng.randint(2, 4)
         reduced = minkowski_reduce(random_pd_gram(rng, n)).reduced
-        g = apply_transform(reduced, random_unimodular(rng, n, ops=1, coeff=2))
-        v = is_minkowski_reduced_definitional(g)
-        assert (None if v is True else (v.index, v.q_u)) == brute_first_violation(g.rows)
+        _assert_first_violation_matches_brute_force(
+            apply_transform(reduced, random_unimodular(rng, n, ops=1, coeff=2))
+        )
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "A4", "D3", "D4", "Z3", "Z4", "D4-centered-cubic"])
+    def test_tied_violations_match_brute_force(self, name):
+        # many vectors share each norm: the returned u pins the tie-break
+        rng = random.Random(name + "-violation")
+        g = named_lattice(name)
+        for _ in range(10):
+            _assert_first_violation_matches_brute_force(
+                apply_transform(g, random_unimodular(rng, g.n, ops=1, coeff=2))
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_table_check_generic_dim5_6(self, seed):
@@ -372,6 +388,42 @@ class TestMinkowskiReduce:
         g = apply_transform(base, tuple(map(tuple, zip(*t))))
         rep = minkowski_reduce(g)
         assert rep.reduced[0, 0] == 1
+
+
+def _cartan_gram(n, edges):
+    """Cartan matrix of a simply laced Dynkin diagram: 2 on the diagonal,
+    -1 on every edge."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    return GramMatrix(rows)
+
+
+class TestPastTheTables:
+    """E7 and E8 in Dynkin bases (a chain with a branch at its third node):
+    the most tied forms in dimensions 7 and 8, where no table applies."""
+
+    @pytest.mark.parametrize(
+        "n, largest_coord, signed_relevant", [(7, 4, 126), (8, 6, 240)]
+    )
+    def test_dynkin_basis_is_reduced(self, n, largest_coord, signed_relevant):
+        g = _cartan_gram(n, [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)])
+        rep = minkowski_reduce(g)
+        assert rep.iterations == 0 and rep.reduced == g
+        assert is_minkowski_reduced_definitional(g) is True
+        lam, minima = lattice_minimum(g)
+        assert lam == 2
+        assert max(abs(x) for v, _ in minima.vectors for x in v) == largest_coord
+        assert 2 * len(relevant_vectors(g).vectors) == signed_relevant
+        assert successive_minima(g).norms == (2,) * n
+        # a skewed copy: its violation is found among the tied roots
+        skewed = apply_transform(g, random_unimodular(random.Random(n + 9500), n, ops=n))
+        v = is_minkowski_reduced_definitional(skewed)
+        assert isinstance(v, Violation) and v.q_u == 2
+        rep = minkowski_reduce(skewed)
+        assert rep.iterations <= n
+        assert rep.reduced.diagonal() == (2,) * n
+        assert is_minkowski_reduced_definitional(rep.reduced) is True
 
 
 class TestGreedy:
