@@ -6,12 +6,19 @@ every pruning bound is an integer square root of an exact rational, so no
 decision ever touches floating point. Every search runs on the LLL view of
 the form, built once per GramMatrix and cached on it, and witnesses are
 mapped back, which changes nothing observable. The view keeps the d and
-lambda that LLL ends with, so no search recomputes them.
+lambda that LLL ends with, so no search recomputes them. The core has no
+modes: every search reads one plain ball.
 
 A shortest vector under a side condition (tail gcd 1, primitive
 extension, independence) is read from one lazy stream, _in_norm_order:
 Fincke-Pohst balls of doubling radius in Schnorr-Euchner norm order, each
-norm layer mapped back only when a search reaches it.
+norm layer mapped back only when a search reaches it. The classes of
+L/2L are read from one ball, _coset_layers: each leaf is binned by its
+parity y & 1 in the view's coordinates, and each bin keeps its least norm
+and that norm's +-pairs. The radius is the largest norm, over the classes,
+of a +-1 representative signed along its support: y_i = -1 if
+(A y)_i > 0, else +1. Each step adds a_ii + 2 y_i (A y)_i <= a_ii, so
+every class has a member inside the ball.
 
 Primitivity has one mechanism, :func:`_completion`: a unimodular C whose
 first columns are the chosen vectors. v extends them primitively iff the
@@ -21,7 +28,7 @@ last coordinates of C^-1 v have gcd 1, as in Minkowski's definition.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -79,20 +86,16 @@ def _quad_int_range(c_num, c_den, t_num, t_den):
     return -((g + u) // v), (g - u) // v
 
 
-def _enumerate_core(view, bound_num, bound_den, parity=None, shrink=False):
+def _enumerate_core(view, bound_num, bound_den):
     """All nonzero x with x^T A x <= bound (one representative per +-pair),
     for A = view.a_red, pruned with the view's d and lambda.
 
-    parity: optional 0/1 vector constraining x_i mod 2 (coset of L/2L).
-    shrink: keep only the minimal-norm layer, tightening the radius as
-    shorter vectors appear (used for coset minima).
     Returns a list of (coords, q) with q = x^T A x an int.
     """
     a, d, lam = view.a_red, view.d, view.lam
     n = len(a)
     lam_cols = tuple(zip(*lam))  # lam_cols[j][i] = lam[i][j]
     results: list[tuple[tuple[int, ...], int]] = []
-    best = [None]
     x = [0] * n
 
     def eval_a(xs):
@@ -108,12 +111,8 @@ def _enumerate_core(view, bound_num, bound_den, parity=None, shrink=False):
         return total
 
     def descend(j, s_num, s_den, tail_zero):
-        if shrink and best[0] is not None and best[0] * bound_den < bound_num:
-            en, ed = best[0], 1
-        else:
-            en, ed = bound_num, bound_den
-        rem_num = en * s_den - s_num * ed
-        rem_den = ed * s_den
+        rem_num = bound_num * s_den - s_num * bound_den
+        rem_den = bound_den * s_den
         if rem_num < 0:
             return
         lam_j = lam_cols[j]
@@ -125,30 +124,14 @@ def _enumerate_core(view, bound_num, bound_den, parity=None, shrink=False):
         lo, hi = _quad_int_range(c, dj1, rem_num * d[j], rem_den * dj1)
         if tail_zero and lo < 0:
             lo = 0
-        if parity is not None:
-            pj = parity[j]
-            if (lo - pj) % 2:
-                lo += 1
-            step = 2
-        else:
-            step = 1
-        for xj in range(lo, hi + 1, step):
+        for xj in range(lo, hi + 1):
             x[j] = xj
             tz = tail_zero and xj == 0
             if j == 0:
                 if tz:
                     continue
                 q = eval_a(x)
-                if q * bound_den > bound_num:
-                    continue
-                if shrink:
-                    if best[0] is None or q < best[0]:
-                        best[0] = q
-                        results.clear()
-                        results.append((tuple(x), q))
-                    elif q == best[0]:
-                        results.append((tuple(x), q))
-                else:
+                if q * bound_den <= bound_num:
                     results.append((tuple(x), q))
             else:
                 w = dj1 * xj + c
@@ -246,9 +229,9 @@ def lattice_minimum(g: GramMatrix):
     attaining vector up to sign."""
     view = _reduced_view(g)
     radius = min(view.a_red[i][i] for i in range(len(view.a_red)))
-    minima = _by_exact_norm(view, _enumerate_core(view, radius, 1, shrink=True))
-    lam = minima[0][1]
-    return lam, ShortVectorList(lam, minima)
+    q, layer = next(groupby(_in_norm_order(view, radius), key=itemgetter(0)))
+    lam = F(q, view.den)
+    return lam, ShortVectorList(lam, tuple((v, lam) for v in sorted(v for _, v in layer)))
 
 
 def successive_minima(g: GramMatrix) -> SuccessiveMinima:
@@ -362,30 +345,54 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
     raise AssertionError("completion column vanished from its own ball")
 
 
+def _signed_representative(a, parity):
+    """(y, y^T a y) for the +-1 member y of the class parity (mod 2) signed
+    greedily along its support, so y^T a y <= the sum of its a_ii."""
+    y, ay, q = [0] * len(a), [0] * len(a), 0
+    for i, p in enumerate(parity):
+        if p:
+            y[i] = s = -1 if ay[i] > 0 else 1
+            q += a[i][i] + 2 * s * ay[i]
+            ay = [u + s * r for u, r in zip(ay, a[i])]
+    return tuple(y), q
+
+
+def _coset_layers(g: GramMatrix):
+    """{class: minima} for every nonzero class of L/2L, read from one ball.
+
+    A class is the parity y & 1 of its members in the view's coordinates;
+    its minima are its least-norm members, one per +-pair, as (v, Q(v)) in
+    the original coordinates sorted by (Q(v), v). The radius is the
+    largest norm of a signed representative over the classes, so the ball
+    holds every class minimum.
+    """
+    view = _reduced_view(g)
+    a = view.a_red
+    radius = max(_signed_representative(a, p)[1] for p in product((0, 1), repeat=len(a)))
+    bins = {}
+    for coords, q in _enumerate_core(view, radius, 1):
+        key = tuple(x & 1 for x in coords)
+        least = bins.get(key)
+        if least is None or q < least[0][1]:
+            bins[key] = [(coords, q)]
+        elif q == least[0][1]:
+            least.append((coords, q))
+    bins.pop((0,) * len(a), None)
+    return {key: _by_exact_norm(view, raw) for key, raw in bins.items()}
+
+
 def coset_minima(g: GramMatrix, parity: Sequence[int]):
     """Shortest vectors of the coset {v : v = parity mod 2} of L/2L.
 
-    Returns (min norm^2, +-representatives). The search radius starts at
-    the norm of the 0/1 representative and shrinks as the enumeration
-    finds shorter coset members.
+    Returns (min norm^2, +-representatives), read from the one binned ball
+    of :func:`_coset_layers`. x = T y, so the class is y = T^-1 x (mod 2)
+    in the view's coordinates.
     """
-    n = g.n
     par = tuple(int(p) % 2 for p in parity)
-    if len(par) != n:
+    if len(par) != g.n:
         raise DimensionMismatchError("parity length mismatch")
     if not any(par):
         raise ValueError("parity class must be nonzero")
     view = _reduced_view(g)
-    # transform parity into reduced coordinates: x = T y, so y = T^-1 x (mod 2)
-    par_red = tuple(y % 2 for y in mat_vec(view.inverse, par))
-    a = view.a_red
-    rep = par_red
-    bound = 0
-    for i in range(n):
-        if rep[i]:
-            bound += a[i][i] * rep[i] * rep[i]
-            for j in range(i + 1, n):
-                if rep[j]:
-                    bound += 2 * rep[i] * rep[j] * a[i][j]
-    minima = _by_exact_norm(view, _enumerate_core(view, bound, 1, parity=par_red, shrink=True))
+    minima = _coset_layers(g)[tuple(y & 1 for y in mat_vec(view.inverse, par))]
     return minima[0][1], tuple(v for v, _ in minima)

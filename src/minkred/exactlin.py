@@ -38,13 +38,14 @@ class GramMatrix:
     property of most operations' preconditions and is checked on demand
     (see :func:`first_nonpositive_pivot`). Instances are immutable and
     hashable. Each instance caches what is derived from it on first use:
-    the scaled integer Gram (:meth:`scaled`), the first bad pivot, the LLL
-    view (``enumeration._reduced_view``) and the table verdict
+    the scaled integer Gram (:meth:`scaled`), the LLL view
+    (``enumeration._reduced_view``) and the table verdict
     (``reduction.is_minkowski_reduced_table``). The caches belong to the
-    instance; an equal GramMatrix computes its own.
+    instance; an equal GramMatrix computes its own. Positive definiteness
+    is not cached: its one library caller sits behind the table verdict.
     """
 
-    __slots__ = ("n", "rows", "_scaled", "_first_bad_pivot", "_view", "_table")
+    __slots__ = ("n", "rows", "_scaled", "_view", "_table")
 
     def __init__(self, rows):
         frac_rows = _as_frac_rows(rows)
@@ -61,7 +62,6 @@ class GramMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", frac_rows)
         object.__setattr__(self, "_scaled", None)
-        object.__setattr__(self, "_first_bad_pivot", -2)  # -2 = not computed
         object.__setattr__(self, "_view", None)  # LLL view, see enumeration
         object.__setattr__(self, "_table", None)  # table verdict, see reduction
 
@@ -297,16 +297,11 @@ def first_nonpositive_pivot(g: GramMatrix) -> Optional[int]:
     Gram once the earlier minors are positive, so the integral kernel
     decides it and stops at the offending minor.
     """
-    cached = object.__getattribute__(g, "_first_bad_pivot")
-    if cached != -2:
-        return cached
     try:
         integral_gram_schmidt(g.scaled()[0])
-        result = None
     except NotPositiveDefiniteError as err:
-        result = err.pivot_index
-    object.__setattr__(g, "_first_bad_pivot", result)
-    return result
+        return err.pivot_index
+    return None
 
 
 def is_positive_definite(g: GramMatrix) -> bool:

@@ -1,17 +1,19 @@
 """Relevant vectors of the Dirichlet-Voronoi cell.
 
 Voronoi's criterion: v is relevant iff +-v are the unique minima of their
-coset of L/2L. Each of the 2^n - 1 nonzero cosets is enumerated exactly;
-tie cosets contribute nothing.
+coset of L/2L. One Fincke-Pohst ball, binned by parity, holds the minima
+of all 2^n - 1 nonzero cosets (enumeration._coset_layers). Its radius is
+the largest norm of a +-1 class representative signed greedily, y_i = -1
+if (A y)_i > 0 else +1, since each step adds a_ii + 2 y_i (A y)_i <= a_ii.
+Tie cosets contribute nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
-from .enumeration import coset_minima, lattice_minimum
+from .enumeration import _coset_layers, lattice_minimum
 from .errors import NotReducedError, UnsupportedDimensionError
 from .exactlin import GramMatrix, IntVector
 from .reduction import is_minkowski_reduced_table
@@ -19,7 +21,7 @@ from .tables import MAX_TABLE_DIM, relevant_abs_patterns
 
 F = Fraction
 
-MAX_COSET_DIM = 8
+MAX_COSET_DIM = 9
 
 
 class RelevantVectorSet(NamedTuple):
@@ -56,17 +58,8 @@ def relevant_vectors(g: GramMatrix) -> RelevantVectorSet:
         raise UnsupportedDimensionError(
             f"coset enumeration supported up to dimension {MAX_COSET_DIM}, got {n}"
         )
-    found = []
-    for parity in product((0, 1), repeat=n):
-        if not any(parity):
-            continue
-        norm, reps = coset_minima(g, parity)
-        if len(reps) == 1:
-            found.append((norm, reps[0]))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return RelevantVectorSet(
-        tuple(v for _, v in found), tuple(q for q, _ in found)
-    )
+    found = sorted((q, v) for (v, q), *ties in _coset_layers(g).values() if not ties)
+    return RelevantVectorSet(tuple(v for _, v in found), tuple(q for q, _ in found))
 
 
 def certify_minima_relevant(g: GramMatrix) -> bool:

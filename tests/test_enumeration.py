@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from minkred.enumeration import (
     _completion,
     _in_norm_order,
     _reduced_view,
+    _signed_representative,
     complete_to_basis,
     coset_minima,
     enumerate_short_vectors,
@@ -373,3 +375,19 @@ class TestCosetMinima:
         blam, breps = brute_coset_minima(g.rows, parity, bound)
         assert lam == blam
         assert sorted(reps) == breps
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_representative_bounds_its_coset(self, seed):
+        rng = random.Random(seed + 550)
+        n = 2 + seed % 3
+        g = random_pd_gram(rng, n)
+        a, den = g.scaled()
+        for parity in product((0, 1), repeat=n):
+            if not any(parity):
+                continue
+            y, q = _signed_representative(a, parity)
+            assert all((yi - p) % 2 == 0 and abs(yi) <= 1 for yi, p in zip(y, parity))
+            assert q == evaluate_form(g, y) * den
+            assert q <= sum(a[i][i] for i in range(n) if parity[i])
+            lam, _ = brute_coset_minima(g.rows, parity, F(q, den))
+            assert lam * den <= q

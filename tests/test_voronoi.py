@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from minkred import enumeration, voronoi
 from minkred.corpus import named_lattice
 from minkred.errors import NotReducedError, UnsupportedDimensionError
+from minkred.enumeration import _signed_representative
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, mat_vec
 from minkred.reduction import minkowski_reduce
 from minkred.tables import canonical_sign
@@ -15,7 +17,12 @@ from minkred.voronoi import (
     relevant_vectors,
 )
 
-from _generators import random_generic_gram, random_unimodular, skewed_orthogonal_gram
+from _generators import (
+    random_generic_gram,
+    random_pd_gram,
+    random_unimodular,
+    skewed_orthogonal_gram,
+)
 from _oracles import brute_coset_minima, eval_q, gram_inverse
 
 F = Fraction
@@ -83,6 +90,35 @@ class TestRelevantVectors:
                     expected.append(tuple(x))
             assert sorted(rel.vectors) == sorted(expected)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_coset_oracle_on_generic_forms(self, seed, monkeypatch):
+        # Every coset, one at a time, against the box oracle on a generic
+        # form, where most cosets have one minimum pair. The one ball's
+        # radius must reach every coset minimum.
+        radii = []
+        core = enumeration._enumerate_core
+
+        def logged(view, bound_num, bound_den):
+            radii.append(F(bound_num, bound_den * view.den))
+            return core(view, bound_num, bound_den)
+
+        monkeypatch.setattr(enumeration, "_enumerate_core", logged)
+        rng = random.Random(seed + 700)
+        n = 2 + seed % 3
+        g = random_pd_gram(rng, n)
+        rel = relevant_vectors(g)
+        a, den = g.scaled()
+        expected = []
+        for parity in product((0, 1), repeat=n):
+            if any(parity):
+                _, q = _signed_representative(a, parity)
+                lam, reps = brute_coset_minima(g.rows, parity, F(q, den))
+                assert lam <= radii[0]
+                if len(reps) == 1:
+                    expected.append((lam, reps[0]))
+        expected.sort()
+        assert list(zip(rel.norms, rel.vectors)) == expected
+
     def test_commutes_with_basis_change(self):
         rng = random.Random(21)
         g, _, _ = skewed_orthogonal_gram(rng, 3)
@@ -94,7 +130,7 @@ class TestRelevantVectors:
         assert mapped == rel_g
 
     def test_one_lll_run_per_form(self, monkeypatch):
-        # the 2^n - 1 coset searches share the form's cached LLL view
+        # both calls read the one ball from the form's cached LLL view
         runs = []
         lll_transform = enumeration.lll_transform
 
@@ -108,15 +144,38 @@ class TestRelevantVectors:
         relevant_vectors(g)
         assert len(runs) == 1
 
+    def test_one_ball_per_form(self, monkeypatch):
+        calls = []
+        core = enumeration._enumerate_core
+
+        def counted(*args):
+            calls.append(args)
+            return core(*args)
+
+        monkeypatch.setattr(enumeration, "_enumerate_core", counted)
+        relevant_vectors(random_generic_gram(random.Random(3), 5))
+        assert len(calls) == 1
+
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
-            relevant_vectors(GramMatrix(identity_matrix(9)))
+            relevant_vectors(GramMatrix(identity_matrix(10)))
+
+    def test_example9_count_is_basis_free(self):
+        # the paper's 9-dim example in three bases: {e1..e9}, the
+        # Minkowski- but not Hermite-reduced {e1..e7, e8*, e9*}, and a skewed one
+        g = named_lattice("example9")
+        moved = apply_transform(g, random_unimodular(random.Random(9), 9, coeff=2))
+        counts = [relevant_vectors(h).pair_count() for h in (g, named_lattice("example9-mnh"), moved)]
+        assert counts == [313] * 3
 
 
 class TestCertifyMinimaRelevant:
     def test_identity_and_a2(self):
         assert certify_minima_relevant(GramMatrix(identity_matrix(3)))
         assert certify_minima_relevant(named_lattice("A2"))
+
+    def test_example9(self):
+        assert certify_minima_relevant(named_lattice("example9"))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances(self, seed):
