@@ -1,11 +1,9 @@
-"""All-integer LLL and size reduction on a Gram matrix (de Weger / Cohen's
-integral variant).
+"""All-integer LLL on a Gram matrix (de Weger / Cohen's integral variant).
 
-Both work on the leading-minor sequence d and the integer Gram-Schmidt
+It works on the leading-minor sequence d and the integer Gram-Schmidt
 numerators lambda of :func:`exactlin.integral_gram_schmidt`, so every step
-is exact integer arithmetic. They share one nearest-integer size-reduction
-step; the reduced Gram matrix is recomputed from the accumulated transform
-by the caller.
+is exact integer arithmetic; the reduced Gram matrix is recomputed from the
+accumulated transform by the caller.
 """
 
 from __future__ import annotations
@@ -15,44 +13,24 @@ from fractions import Fraction
 from .exactlin import identity_matrix, integral_gram_schmidt
 
 
-def _reduce_step(d, lam, t, k, l, t_inv=None):
+def _reduce_step(d, lam, t, k, l, t_inv):
     """Size-reduce basis vector k against vector l < k: b_k -= r b_l with
     r the nearest integer to lam[k][l] / d[l + 1] (halves round up).
 
-    Updates lam row k, the columns of t and, if given, the rows of
-    t_inv = t^-1. Returns whether anything changed.
+    Updates lam row k, the columns of t and the rows of t_inv = t^-1.
     """
     lkl = lam[k][l]
     dl = d[l + 1]
     if 2 * abs(lkl) <= dl:
-        return False
+        return
     r = (2 * lkl + dl) // (2 * dl)
     for row in t:
         row[k] -= r * row[l]
-    if t_inv is not None:
-        t_inv[l] = [x + r * y for x, y in zip(t_inv[l], t_inv[k])]
+    t_inv[l] = [x + r * y for x, y in zip(t_inv[l], t_inv[k])]
     lam[k][l] = lkl - r * dl
     lam_k, lam_l = lam[k], lam[l]
     for j in range(l):
         lam_k[j] -= r * lam_l[j]
-    return True
-
-
-def size_reduce_tail(a, start):
-    """Transform that size-reduces basis vectors start..n-1 against all
-    earlier ones; earlier vectors are untouched. Returns None when every
-    coefficient is already within 1/2.
-    """
-    n = len(a)
-    d, lam = integral_gram_schmidt(a)
-    r = [list(row) for row in identity_matrix(n)]
-    changed = False
-    for i in range(start, n):
-        for j in range(i - 1, -1, -1):
-            changed |= _reduce_step(d, lam, r, i, j)
-    if not changed:
-        return None
-    return tuple(tuple(row) for row in r)
 
 
 def lll_transform(a, delta=Fraction(3, 4)):

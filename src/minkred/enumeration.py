@@ -20,6 +20,13 @@ of a +-1 representative signed along its support: y_i = -1 if
 (A y)_i > 0, else +1. Each step adds a_ii + 2 y_i (A y)_i <= a_ii, so
 every class has a member inside the ball.
 
+The greedy pass, _extend_greedily, reads one stream for a whole basis: a
+vector that cannot extend a system cannot extend a larger one, so no
+vector it has passed is needed later. Its cap is the norm of the next
+column of the completion, read before each ball: that column extends the
+chosen system, so it has not been passed (else it would have been taken)
+and lies ahead of the stream's position, and every step ends by it.
+
 Primitivity has one mechanism, :func:`_completion`: a unimodular C whose
 first columns are the chosen vectors. v extends them primitively iff the
 last coordinates of C^-1 v have gcd 1, as in Minkowski's definition.
@@ -39,7 +46,6 @@ from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
-    evaluate_form,
     identity_matrix,
     int_matrix_rank,
     mat_vec,
@@ -156,19 +162,14 @@ class _ReducedView(NamedTuple):
     lam: list[list[int]]
 
 
-def _view_of(a, den) -> _ReducedView:
-    """The LLL view of the scaled integer Gram a (G = a / den).
-    Raises NotPositiveDefiniteError for a form that is not PD."""
-    t, _, t_inv, d, lam = lll_transform(a)
-    return _ReducedView(transform_gram_int(a, t), den, t, t_inv, d, lam)
-
-
 def _reduced_view(g: GramMatrix) -> _ReducedView:
     """The LLL view of g, built on first use and cached on g (which is
-    immutable)."""
+    immutable). Raises NotPositiveDefiniteError for a form that is not PD."""
     view = object.__getattribute__(g, "_view")
     if view is None:
-        view = _view_of(*g.scaled())
+        a, den = g.scaled()
+        t, _, t_inv, d, lam = lll_transform(a)
+        view = _ReducedView(transform_gram_int(a, t), den, t, t_inv, d, lam)
         object.__setattr__(g, "_view", view)
     return view
 
@@ -189,14 +190,15 @@ def _by_norm(view: _ReducedView, raw, above=0):
 
 
 def _in_norm_order(view: _ReducedView, cap):
-    """Every nonzero v with scaled norm q <= cap, one per +-pair, as (q, v)
-    in (q, vector_key(v)) order. The radius starts at the view's least
-    diagonal entry and doubles up to cap; each ball yields only the norms
-    above the previous radius, so a caller that stops early enumerates no
-    further ball, and no vector comes out twice."""
+    """Every nonzero v with scaled norm q <= cap(), one per +-pair, as
+    (q, v) in (q, vector_key(v)) order. The radius starts at the view's
+    least diagonal entry and doubles up to cap(), which is read before each
+    ball, so a caller may move it while it reads; each ball yields only the
+    norms above the previous radius, so a caller that stops early
+    enumerates no further ball, and no vector comes out twice."""
     radius, done = min(view.a_red[i][i] for i in range(len(view.a_red))), 0
-    while done < cap:
-        radius = min(radius, cap)
+    while done < cap():
+        radius = min(radius, cap())
         yield from _by_norm(view, _enumerate_core(view, radius, 1), done)
         done, radius = radius, 2 * radius
 
@@ -229,7 +231,7 @@ def lattice_minimum(g: GramMatrix):
     attaining vector up to sign."""
     view = _reduced_view(g)
     radius = min(view.a_red[i][i] for i in range(len(view.a_red)))
-    q, layer = next(groupby(_in_norm_order(view, radius), key=itemgetter(0)))
+    q, layer = next(groupby(_in_norm_order(view, lambda: radius), key=itemgetter(0)))
     lam = F(q, view.den)
     return lam, ShortVectorList(lam, tuple((v, lam) for v in sorted(v for _, v in layer)))
 
@@ -245,7 +247,8 @@ def successive_minima(g: GramMatrix) -> SuccessiveMinima:
     view = _reduced_view(g)
     chosen: list[IntVector] = []
     norms: list[Fraction] = []
-    for q, v in _in_norm_order(view, max(view.a_red[i][i] for i in range(n))):
+    cap = max(view.a_red[i][i] for i in range(n))
+    for q, v in _in_norm_order(view, lambda: cap):
         if int_matrix_rank(chosen + [v]) == len(chosen) + 1:
             chosen.append(v)
             norms.append(F(q, view.den))
@@ -322,27 +325,46 @@ def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     return _completion(rows, n)[0]
 
 
+def _extend_greedily(view: _ReducedView, rows, count):
+    """Extend the primitive system rows to count vectors, each a shortest
+    one extending the system so far: the first v in (q, vector_key(v))
+    order with gcd(tail v) = 1, read from one stream capped by the next
+    completion column (see the module docstring). Raises
+    NotPrimitiveError if rows is not primitive."""
+    n = len(view.a_red)
+    chosen = list(rows)
+
+    def complete():
+        c, tail = _completion(chosen, n)
+        y = mat_vec(view.inverse, [row[len(chosen)] for row in c])
+        return tail, sum(x * r for x, r in zip(y, mat_vec(view.a_red, y)))
+
+    tail, cap = complete()
+    for _, v in _in_norm_order(view, lambda: cap):
+        if gcd(*mat_vec(tail, v)) == 1:
+            chosen.append(v)
+            if len(chosen) == count:
+                return chosen
+            tail, cap = complete()
+    raise AssertionError("completion column vanished from its own ball")
+
+
 def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]) -> IntVector:
     """Shortest v extending the partial primitive system to a larger one.
 
     The candidates come in (norm, pivot, coords) order, so the result is
-    deterministic. Column k of the completion is always a feasible
-    extension; its norm only caps the search, which guarantees it ends.
+    deterministic. Raises DimensionMismatchError unless 0 < k < n vectors
+    of length n are given, DependentVectorsError for dependent ones and
+    NotPrimitiveError for a system that is not primitive.
     """
     rows = [tuple(int(x) for x in v) for v in partial]
     k = len(rows)
     n = g.n
-    if k >= n or any(len(r) != n for r in rows):
-        raise DimensionMismatchError("partial system needs fewer than n vectors of length n")
-    if not is_primitive_system(rows):
-        raise NotPrimitiveError("partial system is not primitive")
-    completion, tail = _completion(rows, n)
-    view = _reduced_view(g)
-    cap = int(evaluate_form(g, [row[k] for row in completion]) * view.den)
-    for _, v in _in_norm_order(view, cap):
-        if gcd(*mat_vec(tail, v)) == 1:
-            return v
-    raise AssertionError("completion column vanished from its own ball")
+    if not 0 < k < n or any(len(r) != n for r in rows):
+        raise DimensionMismatchError("partial system needs 1 to n - 1 vectors of length n")
+    if int_matrix_rank(rows) != k:
+        raise DependentVectorsError("vectors are linearly dependent")
+    return _extend_greedily(_reduced_view(g), rows, k + 1)[k]
 
 
 def _signed_representative(a, parity):

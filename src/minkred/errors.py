@@ -54,9 +54,11 @@ class NotReducedError(LatticeError, ValueError):
 
 
 class ReductionCapError(LatticeError, RuntimeError):
-    """The reduction loop exceeded its iteration cap (treated as a bug).
+    """A reduction loop exceeded its iteration cap (treated as a bug).
 
-    Carries the trace of fixes applied so far for post-mortem.
+    Nothing in minkred raises it now: reduction is one greedy pass with no
+    loop to cap. It is kept for callers that name it. Carries the trace of
+    fixes applied so far for post-mortem.
     """
 
     def __init__(self, trace, message=None):

@@ -1,21 +1,23 @@
 """Minkowski reduction and reducedness certification.
 
-The reducer works from the definition: Q(e_i) <= Q(u) for every u with
-gcd(u_i, ..., u_n) = 1, decided in any feasible dimension by one pass
-over the vectors in norm order, for every index at once. It starts from
-the LLL basis and replaces e_k by a shortest admissible u at the smallest
-violated index k until none is left. The finite inequality tables
-(dimensions 2..6) never drive it; they are the independent certificate,
-and their agreement with the definitional check on random forms is
-itself one of the headline properties this package exists to exercise.
+The definition is greedy: each e_k is a shortest vector that extends
+e_1..e_{k-1} to a primitive system. Equivalently Q(e_i) <= Q(u) for every
+u with gcd(u_i, ..., u_n) = 1, which one pass over the vectors in norm
+order decides for every index at once, in any feasible dimension. Both
+reducers build their basis with one greedy pass in norm order
+(enumeration._extend_greedily): greedy_minkowski_basis from nothing,
+minkowski_reduce from the input's basis vectors before its smallest
+violated index. The finite inequality tables (dimensions 2..6) never
+drive reduction; they are the independent certificate, and their
+agreement with the definitional check on random forms is itself one of
+the headline properties this package exists to exercise.
 
 The certificate scans the table candidates in canonical order, grouped by
 |coords| and check index: the exact integral bound
 Q(u) >= sum c_i^2 a_ii - 2 sum |c_i c_j| |a_ij| holds for every sign image
 u of a group, so a group whose bound reaches Q(e_i) is skipped unscanned.
-Its verdict is cached on the GramMatrix, next to the scaled Gram, the
-first bad pivot and the LLL view, so every check of one form shares one
-scan.
+Its verdict is cached on the GramMatrix, next to the scaled Gram and the
+LLL view, so every check of one form shares one scan.
 """
 
 from __future__ import annotations
@@ -25,27 +27,22 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Union
 
-from ._lll import lll_transform, size_reduce_tail
+from ._lll import lll_transform
 from .enumeration import (
     _by_norm,
     _completion,
     _enumerate_core,
+    _extend_greedily,
     _in_norm_order,
     _reduced_view,
-    _view_of,
     complete_to_basis,
-    lattice_minimum,
-    shortest_primitive_extension,
-    vector_key,
 )
-from .errors import ReductionCapError
 from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
     evaluate_form,
     identity_matrix,
-    mat_mul,
     mat_vec,
     require_positive_definite,
     transform_gram_int,
@@ -194,7 +191,8 @@ def _shortest_violation(view, thresholds):
     index, so the first admissible u at the current i is the answer.
     """
     i, n = 0, len(thresholds)
-    for q, v in _in_norm_order(view, max(thresholds) - 1):
+    cap = max(thresholds) - 1
+    for q, v in _in_norm_order(view, lambda: cap):
         while q >= thresholds[i]:
             i += 1
             if i == n:
@@ -222,62 +220,49 @@ def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
     return Violation(u, i, F(q, den), F(a[i][i], den))
 
 
-def minkowski_reduce(g: GramMatrix) -> ReductionReport:
-    """Reduce by fixing the definitional check's violations, any dimension.
+def _report(g: GramMatrix, t, iterations, fixes) -> ReductionReport:
+    """The report for the basis whose columns are the columns of t."""
+    a, den = g.scaled()
+    reduced = GramMatrix([[F(x, den) for x in row] for row in transform_gram_int(a, t)])
+    return ReductionReport(reduced, t, iterations, fixes)
 
-    A reduced input comes back unchanged. Otherwise the loop starts from
-    the LLL basis; each round finds the smallest violated index k and a
-    shortest u with gcd(u_k..u_n) = 1, replaces e_k by u through the
-    unimodular completion that keeps e_1..e_{k-1}, and size-reduces the
-    vectors after k. At most n rounds fix something: whether u is
-    admissible at an index i <= k depends only on span(e_1..e_{i-1}),
-    which the fix leaves alone, so e_1..e_{k-1} still meet the definition
-    and the new e_k meets it too, being a shortest admissible vector.
-    The violated index therefore strictly increases. A cap of n fixes
-    turns any latent bug into ReductionCapError.
+
+def minkowski_reduce(g: GramMatrix) -> ReductionReport:
+    """Reduce from the definition, any dimension.
+
+    A reduced input comes back unchanged. Otherwise let k be the smallest
+    violated index: e_1..e_{k-1} already meet the definition, since
+    whether u is admissible at i depends only on span(e_1..e_{i-1}). They
+    are kept, and the greedy pass extends them to a basis, each new vector
+    a shortest one that extends the system primitively. Its first vector
+    is the violation's own witness, the one fix reported; iterations
+    counts the n - k vectors it chose. The basis is greedy_minkowski_basis's:
+    a unit vector e_i comes first in vector_key order among the vectors of
+    its norm that extend e_1..e_{i-1}, so that pass chooses the same prefix.
     """
     n = g.n
     a, den = g.scaled()
     view = _reduced_view(g)
-    if _shortest_violation(view, [a[i][i] for i in range(n)]) is None:
+    hit = _shortest_violation(view, [a[i][i] for i in range(n)])
+    if hit is None:
         return ReductionReport(g, identity_matrix(n), 0, ())
-    a, t = view.a_red, view.transform
-    fixes: list[Violation] = []
-    while hit := _shortest_violation(_view_of(a, den), [a[i][i] for i in range(n)]):
-        u, k, q = hit
-        fixes.append(Violation(u, k, F(q, den), F(a[k][k], den)))
-        if len(fixes) > n:
-            raise ReductionCapError(fixes)
-        prefix = [tuple(1 if j == i else 0 for j in range(n)) for i in range(k)]
-        c = complete_to_basis(prefix + [u], n)
-        a, t = transform_gram_int(a, c), mat_mul(t, c)
-        # keeps replacement completions from blowing up across fixes
-        r = size_reduce_tail(a, k + 1)
-        if r is not None:
-            a, t = transform_gram_int(a, r), mat_mul(t, r)
-
-    reduced = GramMatrix([[F(x, den) for x in row] for row in a])
-    return ReductionReport(reduced, t, len(fixes), tuple(fixes))
+    u, k, q = hit
+    fix = Violation(u, k, F(q, den), F(a[k][k], den))
+    rows = _extend_greedily(view, identity_matrix(n)[:k], n)
+    return _report(g, tuple(zip(*rows)), n - k, (fix,))
 
 
 def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
-    """Build a reduced basis by n shortest primitive extensions.
+    """Build a reduced basis by Minkowski's greedy definition: each e_k is
+    a shortest vector extending e_1..e_{k-1} to a primitive system.
 
-    Works in any enumeration-feasible dimension (the worked 9-dimensional
-    example included); the output passes the definitional check by
-    construction of the greedy algorithm.
+    One greedy pass in norm order chooses all n vectors, in any
+    enumeration-feasible dimension (the worked 9-dimensional example
+    included); ties break by vector_key. The output passes the
+    definitional check by construction.
     """
-    n = g.n
-    _, minima = lattice_minimum(g)
-    first = min((v for v, _ in minima.vectors), key=vector_key)
-    chosen = [first]
-    while len(chosen) < n:
-        chosen.append(shortest_primitive_extension(g, chosen))
-    t = tuple(tuple(chosen[j][i] for j in range(n)) for i in range(n))
-    a, den = g.scaled()
-    reduced_int = transform_gram_int(a, t)
-    reduced = GramMatrix([[F(x, den) for x in row] for row in reduced_int])
-    return ReductionReport(reduced, t, n, ())
+    rows = _extend_greedily(_reduced_view(g), [], g.n)
+    return _report(g, tuple(zip(*rows)), g.n, ())
 
 
 def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
@@ -286,11 +271,8 @@ def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
     delta = Fraction(delta)
     if not (F(1, 4) < delta <= 1):
         raise ValueError(f"delta must satisfy 1/4 < delta <= 1, got {delta}")
-    a, den = g.scaled()
-    t, swaps = lll_transform(a, delta)[:2]
-    reduced_int = transform_gram_int(a, t)
-    reduced = GramMatrix([[F(x, den) for x in row] for row in reduced_int])
-    return ReductionReport(reduced, t, swaps, ())
+    t, swaps = lll_transform(g.scaled()[0], delta)[:2]
+    return _report(g, t, swaps, ())
 
 
 def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearchResult:

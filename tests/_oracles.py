@@ -155,6 +155,25 @@ def pivot_first(x):
     return max(j for j in range(len(x)) if x[j]), tuple(x)
 
 
+def brute_greedy_basis(rows, prefix=()):
+    """Minkowski's greedy basis, extending the primitive system prefix:
+    each step takes the least x by (Q(x), pivot_first(x)) whose minors
+    with the vectors so far have gcd 1. The ball doubles from twice the
+    shortest basis vector's norm until it holds an extension."""
+    n = len(rows)
+    chosen = [tuple(v) for v in prefix]
+    bound = min(Fraction(rows[i][i]) for i in range(n))
+    ball = []
+    while len(chosen) < n:
+        x = next((x for x, _ in ball if minor_gcd(chosen + [x]) == 1), None)
+        if x is None:
+            bound *= 2
+            ball = sorted(brute_short_vectors(rows, bound), key=lambda e: (e[1], pivot_first(e[0])))
+        else:
+            chosen.append(x)
+    return chosen
+
+
 def brute_first_violation(rows):
     """(i, Q(u), u) for the smallest i with some u, gcd(u_i..u_n) = 1 and
     Q(u) < Q(e_i), taking the least u by (Q(u), pivot_first(u)), with its

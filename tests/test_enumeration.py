@@ -141,12 +141,12 @@ class TestInNormOrder:
             ball = brute_short_vectors(g.rows, F(cap, view.den))
             ball.sort(key=lambda e: (e[1], pivot_first(e[0])))
             expected = [(q * view.den, x) for x, q in ball]
-            assert list(_in_norm_order(view, cap)) == expected
+            assert list(_in_norm_order(view, lambda: cap)) == expected
 
     def test_first_item_runs_one_search(self, monkeypatch):
         view = _reduced_view(random_pd_gram(random.Random(310), 4))
         radii = _record_radii(monkeypatch)
-        next(_in_norm_order(view, 10**6))
+        next(_in_norm_order(view, lambda: 10**6))
         assert len(radii) == 1
 
 
@@ -334,6 +334,36 @@ class TestShortestPrimitiveExtension:
         g = GramMatrix(identity_matrix(2))
         with pytest.raises(DimensionMismatchError):
             shortest_primitive_extension(g, [(1, 0), (0, 1)])
+
+    @pytest.mark.parametrize(
+        "partial, error",
+        [
+            ([], DimensionMismatchError),
+            ([(1, 0)], DimensionMismatchError),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], DimensionMismatchError),
+            ([(0, 0, 0)], DependentVectorsError),
+            ([(1, 2, 0), (2, 4, 0)], DependentVectorsError),
+            ([(2, 0, 0)], NotPrimitiveError),
+            ([(1, 1, 0), (1, -1, 0)], NotPrimitiveError),
+        ],
+    )
+    def test_bad_partial_systems(self, partial, error):
+        with pytest.raises(error):
+            shortest_primitive_extension(GramMatrix(identity_matrix(3)), partial)
+
+    def test_one_completion_per_call(self, monkeypatch):
+        calls = []
+        completion = enumeration._completion
+
+        def counted(rows, n):
+            calls.append(len(rows))
+            return completion(rows, n)
+
+        monkeypatch.setattr(enumeration, "_completion", counted)
+        monkeypatch.setattr(enumeration, "is_primitive_system", None)
+        v = shortest_primitive_extension(random_pd_gram(random.Random(320), 4), [(1, 0, 0, 0)])
+        assert calls == [1]
+        assert minor_gcd([(1, 0, 0, 0), v]) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extension_always_primitive_and_minimal(self, seed):

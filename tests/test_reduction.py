@@ -42,7 +42,12 @@ from _generators import (
     random_unimodular,
     skewed_orthogonal_gram,
 )
-from _oracles import brute_first_violation, flat_table_first_violation, table_checks
+from _oracles import (
+    brute_first_violation,
+    brute_greedy_basis,
+    flat_table_first_violation,
+    table_checks,
+)
 
 F = Fraction
 
@@ -300,11 +305,12 @@ class TestDefinitionalCheck:
 class TestMinkowskiReduce:
     def test_4_3_3_5(self):
         rep = minkowski_reduce(GramMatrix([[4, 3], [3, 5]]))
-        assert rep.reduced.rows == ((F(3), F(-1)), (F(-1), F(4)))
-        # e_2 -> -e_2 of ((3, 1), (1, 4)): the same lattice, reduced both ways
-        flipped = apply_transform(GramMatrix([[3, 1], [1, 4]]), ((1, 0), (0, -1)))
-        assert rep.reduced == flipped
-        assert rep.iterations == 1
+        assert rep.reduced.rows == ((F(3), F(1)), (F(1), F(4)))
+        # the violation at index 0 is fixed by its witness (1, -1); the
+        # greedy pass then chooses both vectors of the basis
+        assert rep.transform == ((1, 1), (-1, 0))
+        assert [tuple(v) for v in rep.violations_fixed] == [((1, -1), 0, F(3), F(4))]
+        assert rep.iterations == 2
         assert apply_transform(GramMatrix([[4, 3], [3, 5]]), rep.transform) == rep.reduced
 
     def test_already_reduced(self):
@@ -461,6 +467,81 @@ class TestGreedy:
         assert rep.reduced == GramMatrix(identity_matrix(9))
         assert is_minkowski_reduced_definitional(rep.reduced) is True
         assert apply_transform(g, rep.transform) == rep.reduced
+
+
+def _columns(vectors):
+    return tuple(zip(*vectors))
+
+
+def _oracle_reduction(g):
+    """The oracle's extension of the input's valid prefix: e_1..e_{k-1}
+    for the smallest violated index k, or the identity for a reduced form."""
+    hit = brute_first_violation(g.rows)
+    if hit is None:
+        return identity_matrix(g.n), hit
+    prefix = identity_matrix(g.n)[: hit[0]]
+    return _columns(brute_greedy_basis(g.rows, prefix)), hit
+
+
+def _assert_reducers_match_oracle(g):
+    greedy = greedy_minkowski_basis(g)
+    assert greedy.transform == _columns(brute_greedy_basis(g.rows))
+    assert apply_transform(g, greedy.transform) == greedy.reduced
+    rep = minkowski_reduce(g)
+    expected, hit = _oracle_reduction(g)
+    assert rep.transform == expected
+    assert apply_transform(g, rep.transform) == rep.reduced
+    if hit is None:
+        assert rep.iterations == 0 and rep.violations_fixed == ()
+    else:
+        (fix,) = rep.violations_fixed
+        assert (fix.index, fix.q_u, fix.vector) == hit
+        assert rep.iterations == g.n - hit[0]
+
+
+class TestGreedyOracle:
+    """Both reducers against the brute-force greedy of tests/_oracles.py,
+    exact basis for exact basis, ties included."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_generic_forms(self, seed):
+        rng = random.Random(seed + 2100)
+        for n in range(2, 5):
+            g = random_pd_gram(rng, n) if seed % 2 else random_generic_gram(rng, n, spread=5)
+            _assert_reducers_match_oracle(g)
+            t = random_unimodular(rng, n, ops=2, coeff=2)
+            _assert_reducers_match_oracle(apply_transform(g, t))
+
+    @pytest.mark.parametrize(
+        "name", ["A2", "A3", "A4", "D3", "D4", "Z2", "Z3", "Z4", "D4-centered-cubic"]
+    )
+    def test_skewed_root_lattices_with_ties(self, name):
+        rng = random.Random(name + "-greedy")
+        g = named_lattice(name)
+        _assert_reducers_match_oracle(g)
+        for _ in range(4):
+            t = random_unimodular(rng, g.n, ops=2, coeff=2)
+            _assert_reducers_match_oracle(apply_transform(g, t))
+
+
+# Z^5 with Z^5 + (1/2)(1, 1, 1, 1, 1): its basis e_1..e_4, h = (1/2)(1,..,1).
+# Five unit vectors span only Z^5, of index 2, so lambda_5 = 1 while the
+# reduced e_5 must be a half vector, of norm 5/4.
+HALF_Z5 = tuple(
+    tuple(F(1 if i == j else 0) for j in range(4)) + (F(1, 2),) for i in range(4)
+) + ((F(1, 2),) * 4 + (F(5, 4),),)
+
+
+class TestTightExtension:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reduced_e5_is_longer_than_lambda5(self, seed):
+        g = apply_transform(GramMatrix(HALF_Z5), random_unimodular(random.Random(seed + 2200), 5))
+        assert successive_minima(g).norms == (1,) * 5
+        for rep in (greedy_minkowski_basis(g), minkowski_reduce(g)):
+            assert rep.reduced.diagonal() == (1, 1, 1, 1, F(5, 4))
+            assert apply_transform(g, rep.transform) == rep.reduced
+            assert is_minkowski_reduced_table(rep.reduced) is True
+            assert is_minkowski_reduced_definitional(rep.reduced) is True
 
 
 SKEWED_Z9 = (
