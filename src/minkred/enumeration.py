@@ -3,11 +3,13 @@
 The enumeration core is a Fincke-Pohst recursion over the integral
 Gram-Schmidt quantities (d, lambda) of the scaled integer Gram matrix:
 every pruning bound is an integer square root of an exact rational, so no
-decision ever touches floating point. Every search runs on the LLL view of
-the form, built once per GramMatrix and cached on it, and witnesses are
-mapped back, which changes nothing observable. The view keeps the d and
-lambda that LLL ends with, so no search recomputes them. The core has no
-modes: every search reads one plain ball.
+decision ever touches floating point. A leaf's norm is the recursion's
+own exact sum, an integer; _quad_int_range is exact, so every leaf it
+admits lies in the ball and none is checked again. Every search runs on
+the LLL view of the form, built once per GramMatrix and cached on it, and
+witnesses are mapped back, which changes nothing observable. The view
+keeps the d and lambda that LLL ends with, so no search recomputes them.
+The core has no modes: every search reads one plain ball.
 
 A shortest vector under a side condition (tail gcd 1, primitive
 extension, independence) is read from one lazy stream, _in_norm_order:
@@ -96,25 +98,16 @@ def _enumerate_core(view, bound_num, bound_den):
     """All nonzero x with x^T A x <= bound (one representative per +-pair),
     for A = view.a_red, pruned with the view's d and lambda.
 
-    Returns a list of (coords, q) with q = x^T A x an int.
+    Returns a list of (coords, q) with q = x^T A x an int: a leaf's q is
+    the recursion's own exact sum. Every x_0 in the exact range of
+    _quad_int_range meets the bound, so no leaf is evaluated or checked
+    again.
     """
-    a, d, lam = view.a_red, view.d, view.lam
-    n = len(a)
+    d, lam = view.d, view.lam
+    n = len(lam)
     lam_cols = tuple(zip(*lam))  # lam_cols[j][i] = lam[i][j]
     results: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
-
-    def eval_a(xs):
-        total = 0
-        for i in range(n):
-            xi = xs[i]
-            if xi:
-                row = a[i]
-                total += xi * xi * row[i]
-                for j in range(i + 1, n):
-                    if xs[j]:
-                        total += 2 * xi * xs[j] * row[j]
-        return total
 
     def descend(j, s_num, s_den, tail_zero):
         rem_num = bound_num * s_den - s_num * bound_den
@@ -130,23 +123,16 @@ def _enumerate_core(view, bound_num, bound_den):
         lo, hi = _quad_int_range(c, dj1, rem_num * d[j], rem_den * dj1)
         if tail_zero and lo < 0:
             lo = 0
+        scale = dj1 * d[j]
+        base, den = s_num * scale, s_den * scale
         for xj in range(lo, hi + 1):
             x[j] = xj
             tz = tail_zero and xj == 0
-            if j == 0:
-                if tz:
-                    continue
-                q = eval_a(x)
-                if q * bound_den <= bound_num:
-                    results.append((tuple(x), q))
-            else:
-                w = dj1 * xj + c
-                descend(
-                    j - 1,
-                    s_num * dj1 * d[j] + s_den * w * w,
-                    s_den * dj1 * d[j],
-                    tz,
-                )
+            w = dj1 * xj + c
+            if j:
+                descend(j - 1, base + s_den * w * w, den, tz)
+            elif not tz:
+                results.append((tuple(x), (base + s_den * w * w) // den))
         x[j] = 0
 
     descend(n - 1, 0, 1, True)
@@ -295,20 +281,27 @@ def _completion(rows, n):
     return tuple(map(tuple, c)), tuple(map(tuple, tail))
 
 
+def _independent_rows(vectors, n):
+    """The vectors as int rows, checked to be independent and of length n.
+    Raises DimensionMismatchError or DependentVectorsError."""
+    rows = [tuple(int(x) for x in v) for v in vectors]
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError("vector length does not match dimension")
+    if len(rows) > n or int_matrix_rank(rows) != len(rows):
+        raise DependentVectorsError("vectors are linearly dependent")
+    return rows
+
+
 def is_primitive_system(vectors: Sequence[Sequence[int]]) -> bool:
     """True iff the integer span of the vectors equals the intersection of
     their linear span with the ambient lattice, i.e. iff they are the first
     columns of some unimodular matrix."""
-    rows = [tuple(int(x) for x in v) for v in vectors]
-    if not rows:
+    vectors = list(vectors)
+    if not vectors:
         raise DimensionMismatchError("empty vector system")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("mixed vector lengths")
-    if len(rows) > n or int_matrix_rank(rows) != len(rows):
-        raise DependentVectorsError("vectors are linearly dependent")
+    n = len(vectors[0])
     try:
-        _completion(rows, n)
+        _completion(_independent_rows(vectors, n), n)
     except NotPrimitiveError:
         return False
     return True
@@ -317,12 +310,7 @@ def is_primitive_system(vectors: Sequence[Sequence[int]]) -> bool:
 def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     """Unimodular matrix whose first k columns are the given primitive
     system, built by Euclid steps on the vectors' coordinates."""
-    rows = [tuple(int(x) for x in v) for v in vectors]
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("vector length does not match dimension")
-    if len(rows) > n or int_matrix_rank(rows) != len(rows):
-        raise DependentVectorsError("vectors are linearly dependent")
-    return _completion(rows, n)[0]
+    return _completion(_independent_rows(vectors, n), n)[0]
 
 
 def _extend_greedily(view: _ReducedView, rows, count):
@@ -357,14 +345,11 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
     of length n are given, DependentVectorsError for dependent ones and
     NotPrimitiveError for a system that is not primitive.
     """
-    rows = [tuple(int(x) for x in v) for v in partial]
-    k = len(rows)
-    n = g.n
-    if not 0 < k < n or any(len(r) != n for r in rows):
-        raise DimensionMismatchError("partial system needs 1 to n - 1 vectors of length n")
-    if int_matrix_rank(rows) != k:
-        raise DependentVectorsError("vectors are linearly dependent")
-    return _extend_greedily(_reduced_view(g), rows, k + 1)[k]
+    partial = list(partial)
+    k = len(partial)
+    if not 0 < k < g.n:
+        raise DimensionMismatchError("partial system needs 1 to n - 1 vectors")
+    return _extend_greedily(_reduced_view(g), _independent_rows(partial, g.n), k + 1)[k]
 
 
 def _signed_representative(a, parity):

@@ -42,7 +42,8 @@ class GramMatrix:
     (``enumeration._reduced_view``) and the table verdict
     (``reduction.is_minkowski_reduced_table``). The caches belong to the
     instance; an equal GramMatrix computes its own. Positive definiteness
-    is not cached: its one library caller sits behind the table verdict.
+    is not cached: the integral Gram-Schmidt kernel decides it wherever
+    it runs (LLL, LDL, the table check), raising at the first bad pivot.
     """
 
     __slots__ = ("n", "rows", "_scaled", "_view", "_table")
@@ -223,20 +224,12 @@ def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
 # quadratic form operations
 
 def evaluate_form(g: GramMatrix, x: Sequence[int]) -> Fraction:
-    """Evaluate Q(x) = x^T G x exactly."""
+    """Evaluate Q(x) = x^T G x exactly, as x^T A x / den on the scaled
+    Gram (A, den)."""
     if len(x) != g.n:
         raise DimensionMismatchError(f"vector length {len(x)} != form dimension {g.n}")
-    rows = g.rows
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = rows[i]
-        total += xi * xi * row[i]
-        for j in range(i + 1, g.n):
-            if x[j]:
-                total += 2 * xi * x[j] * row[j]
-    return total
+    a, den = g.scaled()
+    return Fraction(sum(u * v for u, v in zip(x, mat_vec(a, x))), den)
 
 
 def ldl_decompose(g: GramMatrix) -> tuple[FracMatrix, tuple[Fraction, ...]]:
@@ -308,12 +301,6 @@ def is_positive_definite(g: GramMatrix) -> bool:
     return first_nonpositive_pivot(g) is None
 
 
-def require_positive_definite(g: GramMatrix) -> None:
-    bad = first_nonpositive_pivot(g)
-    if bad is not None:
-        raise NotPositiveDefiniteError(bad)
-
-
 def gram_from_basis(b: EmbeddedBasis) -> GramMatrix:
     """Exact B^T B of an embedded basis; errors on dependent columns."""
     d, n = b.ambient_dim, b.rank
@@ -338,12 +325,12 @@ def apply_transform(g: GramMatrix, t) -> GramMatrix:
     det = int_determinant(rows)
     if det not in (1, -1):
         raise NotUnimodularError(f"determinant is {det}, expected +-1")
-    gt = mat_mul(g.rows, rows)
-    tt = mat_transpose(rows)
-    return GramMatrix(mat_mul(tt, gt))
+    a, den = g.scaled()
+    return GramMatrix([[Fraction(x, den) for x in row] for row in transform_gram_int(a, rows)])
 
 
 def transform_gram_int(a: Sequence[Sequence[int]], t: Sequence[Sequence[int]]):
-    """T^T A T over plain ints (hot-path variant of apply_transform)."""
+    """T^T A T over plain ints: the one basis change of a form, on its
+    scaled Gram."""
     at = mat_mul(a, t)
     return mat_mul(mat_transpose(t), at)

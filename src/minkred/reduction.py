@@ -41,11 +41,11 @@ from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
+    apply_transform,
     evaluate_form,
     identity_matrix,
+    integral_gram_schmidt,
     mat_vec,
-    require_positive_definite,
-    transform_gram_int,
 )
 from .tables import tail_gcd_index, tammela_reduction_candidates
 
@@ -167,8 +167,8 @@ def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
     struct = _scan_struct(g.n)  # raises UnsupportedDimensionError outside 2..6
     verdict = object.__getattribute__(g, "_table")
     if verdict is None:
-        require_positive_definite(g)
         a, den = g.scaled()
+        integral_gram_schmidt(a)  # raises NotPositiveDefiniteError(k)
         hit = _first_violation_int(a, g.n, struct)
         if hit is None:
             verdict = True
@@ -222,9 +222,7 @@ def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
 
 def _report(g: GramMatrix, t, iterations, fixes) -> ReductionReport:
     """The report for the basis whose columns are the columns of t."""
-    a, den = g.scaled()
-    reduced = GramMatrix([[F(x, den) for x in row] for row in transform_gram_int(a, t)])
-    return ReductionReport(reduced, t, iterations, fixes)
+    return ReductionReport(apply_transform(g, t), t, iterations, fixes)
 
 
 def minkowski_reduce(g: GramMatrix) -> ReductionReport:

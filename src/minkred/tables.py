@@ -213,9 +213,16 @@ def relevant_vector_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
 @lru_cache(maxsize=None)
 def relevant_abs_patterns(n: int) -> frozenset:
     """Sorted absolute-coordinate tuples of all relevant candidates; the
-    membership test set for Voronoi certification."""
+    membership test set for Voronoi certification.
+
+    Read from the columns, not their expansion: a column with at most n
+    nonzero entries gives the pattern of its n largest entries, and every
+    column holds a 1, so some sign image of it has gcd 1."""
+    _check_dim(n)
     return frozenset(
-        tuple(sorted(abs(x) for x in c.coords)) for c in relevant_vector_candidates(n)
+        tuple(sorted(c))[-n:]
+        for c in REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS
+        if sum(1 for x in c if x) <= n
     )
 
 

@@ -42,6 +42,7 @@ from _oracles import (
     brute_coset_minima,
     brute_minimum,
     brute_short_vectors,
+    eval_q,
     frac_det_gauss,
     gram_inverse,
     minor_gcd,
@@ -83,10 +84,27 @@ class TestEnumerate:
         rng = random.Random(seed)
         n = rng.randint(2, 4)
         g = random_pd_gram(rng, n)
-        bound = F(rng.randint(2, 8))
-        expected = brute_short_vectors(g.rows, bound)
-        got = [(v, q) for v, q in enumerate_short_vectors(g, bound).vectors]
-        assert got == expected
+        # an integer bound, then a non-integer one (the core's bound_den > 1)
+        for bound in (F(rng.randint(2, 8)), F(3 * rng.randint(2, 7) + 1, 3)):
+            expected = brute_short_vectors(g.rows, bound)
+            got = [(v, q) for v, q in enumerate_short_vectors(g, bound).vectors]
+            assert got == expected
+
+    @pytest.mark.parametrize("name", ["A5", "D5", "E6"])
+    def test_leaf_norms_are_exact_on_skewed_forms(self, name):
+        # each leaf carries the recursion's own sum as its norm; check it
+        # against the bilinear expansion, and the bound, in dims 5 and 6
+        rng = random.Random(sum(map(ord, name)))
+        base = named_lattice(name)
+        g = apply_transform(base, random_unimodular(rng, base.n))
+        view = _reduced_view(g)
+        top = max(view.a_red[i][i] for i in range(base.n))
+        for num, den in ((top, 1), (3 * top + 1, 2)):
+            leaves = enumeration._enumerate_core(view, num, den)
+            assert leaves
+            for x, q in leaves:
+                assert q == eval_q(view.a_red, x)
+                assert q * den <= num
 
     @pytest.mark.parametrize("seed", range(6))
     def test_skewed_inputs_still_complete(self, seed):

@@ -666,6 +666,8 @@ class TestHermiteWitness:
         hermite_witness_search,
         minkowski_reduce,
         lattice_minimum,
+        is_minkowski_reduced_table,
+        is_minkowski_reduced_definitional,
     ],
     ids=lambda f: f.__name__,
 )

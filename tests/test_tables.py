@@ -15,6 +15,7 @@ from minkred.tables import (
     class_rep_set,
     dump_tables,
     max_theorem_bound,
+    relevant_abs_patterns,
     relevant_vector_candidates,
     tail_gcd_index,
     tammela_reduction_candidates,
@@ -96,6 +97,11 @@ class TestRelevantCandidates:
     def test_matches_oracle(self, n):
         got = {c.coords for c in relevant_vector_candidates(n)}
         assert got == oracle_expand(REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS, n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_abs_patterns_match_oracle(self, n):
+        expanded = oracle_expand(REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS, n)
+        assert relevant_abs_patterns(n) == {tuple(sorted(map(abs, v))) for v in expanded}
 
     def test_max_coordinates_dims_5_and_6(self):
         assert max(abs(x) for c in relevant_vector_candidates(6) for x in c.coords) == 4
