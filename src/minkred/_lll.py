@@ -3,7 +3,8 @@
 It works on the leading-minor sequence d and the integer Gram-Schmidt
 numerators lambda of :func:`exactlin.integral_gram_schmidt`, so every step
 is exact integer arithmetic; the reduced Gram matrix is recomputed from the
-accumulated transform by the caller.
+accumulated transform by the caller. Only the transform is tracked:
+callers map reduced coordinates to input ones, never back.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from fractions import Fraction
 from .exactlin import identity_matrix, integral_gram_schmidt
 
 
-def _reduce_step(d, lam, t, k, l, t_inv):
+def _reduce_step(d, lam, t, k, l):
     """Size-reduce basis vector k against vector l < k: b_k -= r b_l with
     r the nearest integer to lam[k][l] / d[l + 1] (halves round up).
 
-    Updates lam row k, the columns of t and the rows of t_inv = t^-1.
+    Updates lam row k and the columns of t.
     """
     lkl = lam[k][l]
     dl = d[l + 1]
@@ -26,7 +27,6 @@ def _reduce_step(d, lam, t, k, l, t_inv):
     r = (2 * lkl + dl) // (2 * dl)
     for row in t:
         row[k] -= r * row[l]
-    t_inv[l] = [x + r * y for x, y in zip(t_inv[l], t_inv[k])]
     lam[k][l] = lkl - r * dl
     lam_k, lam_l = lam[k], lam[l]
     for j in range(l):
@@ -36,11 +36,11 @@ def _reduce_step(d, lam, t, k, l, t_inv):
 def lll_transform(a, delta=Fraction(3, 4)):
     """Reduce the integer Gram matrix ``a``.
 
-    Returns (t, swaps, t_inv, d, lam): t is the unimodular transform whose
+    Returns (t, swaps, d, lam): t is the unimodular transform whose
     columns are the reduced basis in input coordinates (reduced Gram =
-    t^T a t), t_inv its inverse, built by the matching row operations, and
-    (d, lam) the integral Gram-Schmidt quantities of the reduced Gram, as
-    :func:`exactlin.integral_gram_schmidt` would return them.
+    t^T a t) and (d, lam) the integral Gram-Schmidt quantities of the
+    reduced Gram, as :func:`exactlin.integral_gram_schmidt` would return
+    them.
     Raises NotPositiveDefiniteError when a leading minor is <= 0.
     """
     n = len(a)
@@ -49,18 +49,16 @@ def lll_transform(a, delta=Fraction(3, 4)):
     dd, lam = integral_gram_schmidt(a)
     # transform columns are basis vectors; column ops mirror basis ops
     t = [list(row) for row in identity_matrix(n)]
-    t_inv = [list(row) for row in identity_matrix(n)]
 
     swaps = 0
     k = 1
     while k < n:
-        _reduce_step(dd, lam, t, k, k - 1, t_inv)
+        _reduce_step(dd, lam, t, k, k - 1)
         lkl = lam[k][k - 1]
         if q * (dd[k + 1] * dd[k - 1] + lkl * lkl) < p * dd[k] * dd[k]:
             # swap basis vectors k-1 and k
             for row in t:
                 row[k], row[k - 1] = row[k - 1], row[k]
-            t_inv[k], t_inv[k - 1] = t_inv[k - 1], t_inv[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             b = (dd[k - 1] * dd[k + 1] + lkl * lkl) // dd[k]
@@ -73,7 +71,7 @@ def lll_transform(a, delta=Fraction(3, 4)):
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                _reduce_step(dd, lam, t, k, l, t_inv)
+                _reduce_step(dd, lam, t, k, l)
             k += 1
 
-    return tuple(tuple(row) for row in t), swaps, tuple(tuple(row) for row in t_inv), dd, lam
+    return tuple(tuple(row) for row in t), swaps, dd, lam

@@ -81,7 +81,10 @@ def has_half_centered_face(data: CenteringData) -> bool:
 def classify_centering(data: CenteringData, n: int) -> Optional[CenteringClass]:
     """Match against the admissible-centering table, up to coordinate
     permutation; None means "unknown" (not an admissible centering of a
-    minimum parallelepiped, or outside the table)."""
+    minimum parallelepiped, or outside the table). Raises
+    DimensionMismatchError when the representatives are not of length n."""
+    if any(len(rep) != n for rep in data.coset_reps):
+        raise DimensionMismatchError(f"centering data is not {n}-dimensional")
     observed = frozenset(rep for rep in data.coset_reps if any(rep))
     for cls in centering_classes(n):
         if cls.U != data.denominator_U or cls.V != data.index_V:

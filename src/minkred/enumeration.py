@@ -11,23 +11,25 @@ witnesses are mapped back, which changes nothing observable. The view
 keeps the d and lambda that LLL ends with, so no search recomputes them.
 The core has no modes: every search reads one plain ball.
 
-A shortest vector under a side condition (tail gcd 1, primitive
-extension, independence) is read from one lazy stream, _in_norm_order:
-Fincke-Pohst balls of doubling radius in Schnorr-Euchner norm order, each
-norm layer mapped back only when a search reaches it. The classes of
-L/2L are read from one ball, _coset_layers: each leaf is binned by its
-parity y & 1 in the view's coordinates, and each bin keeps its least norm
+A shortest vector under a side condition (tail gcd 1, primitive extension,
+independence) is read from one lazy stream, _in_norm_order: Fincke-Pohst
+balls of doubling radius in Schnorr-Euchner norm order, each norm layer
+mapped back only when a search reaches it. The classes of L/2L are read
+from one ball, _coset_layers: each leaf is binned by its parity y & 1 in
+the view's coordinates, which fixes the parity of x = T y, so each bin is
+keyed by its minima's parity in g's coordinates and keeps its least norm
 and that norm's +-pairs. The radius is the largest norm, over the classes,
-of a +-1 representative signed along its support: y_i = -1 if
-(A y)_i > 0, else +1. Each step adds a_ii + 2 y_i (A y)_i <= a_ii, so
-every class has a member inside the ball.
+of a +-1 representative signed along its support: y_i = -1 if (A y)_i > 0,
+else +1. Each step adds a_ii + 2 y_i (A y)_i <= a_ii, so every class has a
+member inside the ball.
 
 The greedy pass, _extend_greedily, reads one stream for a whole basis: a
 vector that cannot extend a system cannot extend a larger one, so no
-vector it has passed is needed later. Its cap is the norm of the next
-column of the completion, read before each ball: that column extends the
-chosen system, so it has not been passed (else it would have been taken)
-and lies ahead of the stream's position, and every step ends by it.
+vector it has passed is needed later. Its cap is the norm c^T A c of the
+next column c of the completion, on g's scaled Gram A, read before each
+ball: that column extends the chosen system, so it has not been passed
+(else it would have been taken) and lies ahead of the stream's position,
+and every step ends by it.
 
 Primitivity has one mechanism, :func:`_completion`: a unimodular C whose
 first columns are the chosen vectors. v extends them primitively iff the
@@ -143,7 +145,6 @@ class _ReducedView(NamedTuple):
     a_red: IntMatrix       # U^T A U, integer
     den: int               # original G = A / den
     transform: IntMatrix   # columns = reduced basis in original coords
-    inverse: IntMatrix     # transform^-1: original coords -> reduced coords
     d: list[int]           # integral Gram-Schmidt of a_red, as LLL left it
     lam: list[list[int]]
 
@@ -154,8 +155,8 @@ def _reduced_view(g: GramMatrix) -> _ReducedView:
     view = object.__getattribute__(g, "_view")
     if view is None:
         a, den = g.scaled()
-        t, _, t_inv, d, lam = lll_transform(a)
-        view = _ReducedView(transform_gram_int(a, t), den, t, t_inv, d, lam)
+        t, _, d, lam = lll_transform(a)
+        view = _ReducedView(transform_gram_int(a, t), den, t, d, lam)
         object.__setattr__(g, "_view", view)
     return view
 
@@ -313,22 +314,22 @@ def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     return _completion(_independent_rows(vectors, n), n)[0]
 
 
-def _extend_greedily(view: _ReducedView, rows, count):
+def _extend_greedily(g: GramMatrix, rows, count):
     """Extend the primitive system rows to count vectors, each a shortest
     one extending the system so far: the first v in (q, vector_key(v))
     order with gcd(tail v) = 1, read from one stream capped by the next
     completion column (see the module docstring). Raises
     NotPrimitiveError if rows is not primitive."""
-    n = len(view.a_red)
+    a, n = g.scaled()[0], g.n
     chosen = list(rows)
 
     def complete():
         c, tail = _completion(chosen, n)
-        y = mat_vec(view.inverse, [row[len(chosen)] for row in c])
-        return tail, sum(x * r for x, r in zip(y, mat_vec(view.a_red, y)))
+        col = [row[len(chosen)] for row in c]
+        return tail, sum(x * r for x, r in zip(col, mat_vec(a, col)))
 
     tail, cap = complete()
-    for _, v in _in_norm_order(view, lambda: cap):
+    for _, v in _in_norm_order(_reduced_view(g), lambda: cap):
         if gcd(*mat_vec(tail, v)) == 1:
             chosen.append(v)
             if len(chosen) == count:
@@ -349,7 +350,7 @@ def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]
     k = len(partial)
     if not 0 < k < g.n:
         raise DimensionMismatchError("partial system needs 1 to n - 1 vectors")
-    return _extend_greedily(_reduced_view(g), _independent_rows(partial, g.n), k + 1)[k]
+    return _extend_greedily(g, _independent_rows(partial, g.n), k + 1)[k]
 
 
 def _signed_representative(a, parity):
@@ -367,11 +368,12 @@ def _signed_representative(a, parity):
 def _coset_layers(g: GramMatrix):
     """{class: minima} for every nonzero class of L/2L, read from one ball.
 
-    A class is the parity y & 1 of its members in the view's coordinates;
-    its minima are its least-norm members, one per +-pair, as (v, Q(v)) in
-    the original coordinates sorted by (Q(v), v). The radius is the
-    largest norm of a signed representative over the classes, so the ball
-    holds every class minimum.
+    A class is the parity v & 1 of its members in g's coordinates, read
+    from its minima: the leaves are binned by parity in the view's
+    coordinates, which fixes it in g's. The minima are the class's
+    least-norm members, one per +-pair, as (v, Q(v)) sorted by (Q(v), v).
+    The radius is the largest norm of a signed representative over the
+    classes, so the ball holds every class minimum.
     """
     view = _reduced_view(g)
     a = view.a_red
@@ -385,21 +387,20 @@ def _coset_layers(g: GramMatrix):
         elif q == least[0][1]:
             least.append((coords, q))
     bins.pop((0,) * len(a), None)
-    return {key: _by_exact_norm(view, raw) for key, raw in bins.items()}
+    layers = (_by_exact_norm(view, raw) for raw in bins.values())
+    return {tuple(x & 1 for x in minima[0][0]): minima for minima in layers}
 
 
 def coset_minima(g: GramMatrix, parity: Sequence[int]):
     """Shortest vectors of the coset {v : v = parity mod 2} of L/2L.
 
     Returns (min norm^2, +-representatives), read from the one binned ball
-    of :func:`_coset_layers`. x = T y, so the class is y = T^-1 x (mod 2)
-    in the view's coordinates.
+    of :func:`_coset_layers`.
     """
     par = tuple(int(p) % 2 for p in parity)
     if len(par) != g.n:
         raise DimensionMismatchError("parity length mismatch")
     if not any(par):
         raise ValueError("parity class must be nonzero")
-    view = _reduced_view(g)
-    minima = _coset_layers(g)[tuple(y & 1 for y in mat_vec(view.inverse, par))]
+    minima = _coset_layers(g)[par]
     return minima[0][1], tuple(v for v, _ in minima)

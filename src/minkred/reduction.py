@@ -4,13 +4,14 @@ The definition is greedy: each e_k is a shortest vector that extends
 e_1..e_{k-1} to a primitive system. Equivalently Q(e_i) <= Q(u) for every
 u with gcd(u_i, ..., u_n) = 1, which one pass over the vectors in norm
 order decides for every index at once, in any feasible dimension. Both
-reducers build their basis with one greedy pass in norm order
-(enumeration._extend_greedily): greedy_minkowski_basis from nothing,
-minkowski_reduce from the input's basis vectors before its smallest
-violated index. The finite inequality tables (dimensions 2..6) never
-drive reduction; they are the independent certificate, and their
-agreement with the definitional check on random forms is itself one of
-the headline properties this package exists to exercise.
+reducers are one greedy pass in norm order from nothing
+(enumeration._extend_greedily); minkowski_reduce reads its one fix from
+the first chosen vector that is not the unit vector e_k. The definitional
+check runs a pass of its own, so the two routes stay independent. The
+finite inequality tables (dimensions 2..6) never drive reduction; they are
+the independent certificate, and their agreement with the definitional
+check on random forms is itself one of the headline properties this
+package exists to exercise.
 
 The certificate scans the table candidates in canonical order, grouped by
 |coords| and check index: the exact integral bound
@@ -179,30 +180,6 @@ def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
     return verdict
 
 
-def _shortest_violation(view, thresholds):
-    """The smallest violated index of the definition, or None.
-
-    thresholds[i] is the scaled Q(e_i) of the basis the view was built
-    from. Returns (u, i, q): u in that basis, gcd(u_i, ..., u_n) = 1 and
-    q = Q(u) < thresholds[i] the least such norm, ties broken by
-    vector_key. One pass in norm order decides every index: i moves on
-    once q reaches thresholds[i], since every shorter vector has been
-    seen, and a vector admissible at i is admissible at every earlier
-    index, so the first admissible u at the current i is the answer.
-    """
-    i, n = 0, len(thresholds)
-    cap = max(thresholds) - 1
-    for q, v in _in_norm_order(view, lambda: cap):
-        while q >= thresholds[i]:
-            i += 1
-            if i == n:
-                return None
-        ti = tail_gcd_index(v)
-        if ti is not None and ti >= i:
-            return v, i, q
-    return None
-
-
 def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
     """Certify reducedness from the definition, any feasible dimension.
 
@@ -210,14 +187,23 @@ def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
     Q(u) < Q(e_i), by one complete enumeration in norm order with a
     growing radius (internally LLL-preconditioned). Sound and complete.
     Returns True, or the Violation at the smallest index with a shortest
-    such u.
+    such u, ties broken by vector_key. i moves on once Q(u) reaches
+    Q(e_i), since every shorter vector has been seen, and a vector
+    admissible at i is admissible at every earlier index, so the first
+    admissible u at the current i is the answer.
     """
     a, den = g.scaled()
-    hit = _shortest_violation(_reduced_view(g), [a[i][i] for i in range(g.n)])
-    if hit is None:
-        return True
-    u, i, q = hit
-    return Violation(u, i, F(q, den), F(a[i][i], den))
+    diag = [a[i][i] for i in range(g.n)]
+    i, cap = 0, max(diag) - 1
+    for q, u in _in_norm_order(_reduced_view(g), lambda: cap):
+        while q >= diag[i]:
+            i += 1
+            if i == g.n:
+                return True
+        ti = tail_gcd_index(u)
+        if ti is not None and ti >= i:
+            return Violation(u, i, F(q, den), F(diag[i], den))
+    return True
 
 
 def _report(g: GramMatrix, t, iterations, fixes) -> ReductionReport:
@@ -228,25 +214,23 @@ def _report(g: GramMatrix, t, iterations, fixes) -> ReductionReport:
 def minkowski_reduce(g: GramMatrix) -> ReductionReport:
     """Reduce from the definition, any dimension.
 
-    A reduced input comes back unchanged. Otherwise let k be the smallest
-    violated index: e_1..e_{k-1} already meet the definition, since
-    whether u is admissible at i depends only on span(e_1..e_{i-1}). They
-    are kept, and the greedy pass extends them to a basis, each new vector
-    a shortest one that extends the system primitively. Its first vector
-    is the violation's own witness, the one fix reported; iterations
-    counts the n - k vectors it chose. The basis is greedy_minkowski_basis's:
-    a unit vector e_i comes first in vector_key order among the vectors of
-    its norm that extend e_1..e_{i-1}, so that pass chooses the same prefix.
+    One greedy pass from nothing chooses the basis, as in
+    greedy_minkowski_basis. Every vector admissible at index i has its
+    pivot at i or later, and e_i comes first in vector_key order among
+    those of pivot i, so the pass keeps e_i exactly while no index up to
+    i is violated. A reduced input therefore comes back unchanged.
+    Otherwise the first chosen vector that is not e_k sits at the smallest
+    violated index k and is the shortest violation there, ties broken by
+    vector_key: the one fix reported. iterations counts the n - k vectors
+    chosen from index k on.
     """
     n = g.n
-    a, den = g.scaled()
-    view = _reduced_view(g)
-    hit = _shortest_violation(view, [a[i][i] for i in range(n)])
-    if hit is None:
-        return ReductionReport(g, identity_matrix(n), 0, ())
-    u, k, q = hit
-    fix = Violation(u, k, F(q, den), F(a[k][k], den))
-    rows = _extend_greedily(view, identity_matrix(n)[:k], n)
+    rows = _extend_greedily(g, [], n)
+    unit = identity_matrix(n)
+    k = next((i for i in range(n) if rows[i] != unit[i]), None)
+    if k is None:
+        return ReductionReport(g, unit, 0, ())
+    fix = Violation(rows[k], k, evaluate_form(g, rows[k]), g[k, k])
     return _report(g, tuple(zip(*rows)), n - k, (fix,))
 
 
@@ -259,7 +243,7 @@ def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
     included); ties break by vector_key. The output passes the
     definitional check by construction.
     """
-    rows = _extend_greedily(_reduced_view(g), [], g.n)
+    rows = _extend_greedily(g, [], g.n)
     return _report(g, tuple(zip(*rows)), g.n, ())
 
 

@@ -23,12 +23,6 @@ MIN_TABLE_DIM = 2
 MAX_TABLE_DIM = 6
 
 
-class CandidateColumn(NamedTuple):
-    coords: tuple[int, ...]   # 6 nonnegative integers, verbatim column
-    table: str                # "reduction" or "relevant"
-    index: int                # 0-based column index within its table part
-
-
 class ExpandedCandidate(NamedTuple):
     coords: tuple[int, ...]   # n-dimensional, canonical sign, gcd 1
     pivot: int                # largest 0-based index with nonzero coordinate

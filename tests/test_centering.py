@@ -165,6 +165,14 @@ class TestClassification:
         assert (H, H, 0, 0, 0, 0) in data.coset_reps
         assert classify_centering(data, 6) is None
 
+    @pytest.mark.parametrize("rows", (
+        identity_matrix(3),                       # V = 1 agrees with a 4-dim class on U, V
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)),        # V = 2: 4-dim permutations overrun a 3-tuple
+    ))
+    def test_data_of_another_dimension_rejected(self, rows):
+        with pytest.raises(DimensionMismatchError):
+            classify_centering(centering_data(rows), 4)
+
 
 class TestObservationB:
     @pytest.mark.parametrize("seed", range(30))

@@ -9,6 +9,7 @@ from minkred import enumeration
 from minkred.corpus import E8_STAR_COORDS, E9_STAR_COORDS, example9_gram, named_lattice
 from minkred.enumeration import (
     _completion,
+    _coset_layers,
     _in_norm_order,
     _reduced_view,
     _signed_representative,
@@ -37,7 +38,12 @@ from minkred.exactlin import (
     mat_vec,
 )
 
-from _generators import random_pd_gram, random_unimodular
+from _generators import (
+    random_generic_gram,
+    random_pd_gram,
+    random_unimodular,
+    skewed_orthogonal_gram,
+)
 from _oracles import (
     brute_coset_minima,
     brute_minimum,
@@ -423,6 +429,16 @@ class TestCosetMinima:
         blam, breps = brute_coset_minima(g.rows, parity, bound)
         assert lam == blam
         assert sorted(reps) == breps
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_layers_are_keyed_by_parity_in_g_coordinates(self, seed):
+        rng = random.Random(seed + 580)
+        n = 2 + seed % 5
+        g = skewed_orthogonal_gram(rng, n)[0] if seed % 2 else random_generic_gram(rng, n)
+        layers = _coset_layers(g)
+        assert set(layers) == set(product((0, 1), repeat=n)) - {(0,) * n}
+        for key, minima in layers.items():
+            assert all(tuple(x % 2 for x in v) == key for v, _ in minima)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_signed_representative_bounds_its_coset(self, seed):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkred import reduction
+from minkred import enumeration, reduction
 from minkred.centering import check_theorem_bound
 from minkred.corpus import example9_gram, example9_reduced_not_hermite, named_lattice
 from minkred.enumeration import lattice_minimum, successive_minima
@@ -20,7 +20,6 @@ from minkred.exactlin import (
     integral_gram_schmidt,
     is_positive_definite,
     ldl_decompose,
-    mat_mul,
     transform_gram_int,
 )
 from minkred.reduction import (
@@ -336,6 +335,23 @@ class TestMinkowskiReduce:
         again = minkowski_reduce(rep.reduced)
         assert again.iterations == 0 and again.reduced == rep.reduced
 
+    def test_one_stream_per_unreduced_form(self, monkeypatch):
+        # the greedy pass finds the fix itself: no search runs before it
+        calls = []
+        stream = enumeration._in_norm_order
+
+        def counted(*args):
+            calls.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(enumeration, "_in_norm_order", counted)
+        monkeypatch.setattr(reduction, "_in_norm_order", counted)
+        rng = random.Random(7300)
+        for n in range(2, 7):
+            calls.clear()
+            assert minkowski_reduce(random_generic_gram(rng, n)).violations_fixed
+            assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -430,6 +446,36 @@ class TestPastTheTables:
         assert rep.iterations <= n
         assert rep.reduced.diagonal() == (2,) * n
         assert is_minkowski_reduced_definitional(rep.reduced) is True
+
+
+E7_EDGES = [(i, i + 1) for i in range(5)] + [(2, 6)]
+
+
+class TestReducerAgreesWithDefinitionalCheck:
+    """minkowski_reduce and the definitional check run separate searches;
+    the one fix the reducer reports is the check's violation."""
+
+    @staticmethod
+    def _assert_agree(g):
+        verdict = is_minkowski_reduced_definitional(g)
+        fixes = minkowski_reduce(GramMatrix(g.rows)).violations_fixed
+        assert fixes == (() if verdict is True else (verdict,))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_generic_forms(self, n):
+        rng = random.Random(n + 7400)
+        for _ in range(3):
+            g = random_generic_gram(rng, n)
+            self._assert_agree(g)
+            self._assert_agree(minkowski_reduce(g).reduced)
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "D4", "D5", "E6", "E7"])
+    def test_skewed_root_lattices(self, name):
+        g = _cartan_gram(7, E7_EDGES) if name == "E7" else named_lattice(name)
+        rng = random.Random(name + "-agree")
+        self._assert_agree(g)
+        for _ in range(4):
+            self._assert_agree(apply_transform(g, random_unimodular(rng, g.n, ops=2, coeff=2)))
 
 
 class TestGreedy:
@@ -603,9 +649,8 @@ class TestLLL:
         assert apply_transform(g, rep.transform) == rep.reduced
         assert determinant(rep.reduced.rows) == determinant(g.rows)
         _gso_check(rep.reduced, delta)
-        t, _, t_inv, d, lam = lll_transform(g.scaled()[0], delta)
+        t, _, d, lam = lll_transform(g.scaled()[0], delta)
         assert t == rep.transform
-        assert mat_mul(t, t_inv) == identity_matrix(g.n)
         assert (d, lam) == integral_gram_schmidt(transform_gram_int(g.scaled()[0], t))
 
     @pytest.mark.parametrize("seed", range(10))
