@@ -1,8 +1,9 @@
-"""Fixture lattices and the text file format shared by the CLI.
+"""Fixture lattices, a text file format for lattices, and JSON reports.
 
 The 9-dimensional worked example lives here: the 12x9 embedded basis, its
 Gram matrix, and the Minkowski-reduced-but-not-Hermite-reduced companion
-obtained by swapping in the two starred vectors.
+obtained by swapping in the two starred vectors. No CLI reads the file
+format yet: pyproject.toml names minkred.cli, which does not exist.
 """
 
 from __future__ import annotations

@@ -26,14 +26,17 @@ member inside the ball.
 The greedy pass, _extend_greedily, reads one stream for a whole basis: a
 vector that cannot extend a system cannot extend a larger one, so no
 vector it has passed is needed later. Its cap is the norm c^T A c of the
-next column c of the completion, on g's scaled Gram A, read before each
-ball: that column extends the chosen system, so it has not been passed
-(else it would have been taken) and lies ahead of the stream's position,
-and every step ends by it.
+next column c of the completion it carries, on g's scaled Gram A, read
+before each ball: that column extends the chosen system, so it has not
+been passed (else it would have been taken) and lies ahead of the
+stream's position, and every step ends by it.
 
 Primitivity has one mechanism, :func:`_completion`: a unimodular C whose
 first columns are the chosen vectors. v extends them primitively iff the
 last coordinates of C^-1 v have gcd 1, as in Minkowski's definition.
+Minkowski adds one vector at a time, and so does the completion: given
+a (C, tail), it folds only the new rows, so the greedy pass and the
+Hermite witness search carry theirs and fold each chosen vector once.
 """
 
 from __future__ import annotations
@@ -244,9 +247,10 @@ def successive_minima(g: GramMatrix) -> SuccessiveMinima:
     return SuccessiveMinima(tuple(norms), tuple(chosen))
 
 
-def _completion(rows, n):
-    """(C, tail) for a primitive system of k rows of length n: C is
-    unimodular with the rows as its first k columns and tail is rows
+def _completion(rows, n, start=None):
+    """(C, tail) for a primitive system of rows of length n, folded onto
+    start, the (C, tail) of the vectors before them, or onto the identity:
+    C is unimodular with the system as its first k columns and tail is rows
     k..n-1 of C^-1, so v extends the system primitively iff gcd(tail v) = 1.
 
     Row r_j is placed by folding w = (C^-1 r_j)[j:] into w_j with Euclid on
@@ -255,9 +259,9 @@ def _completion(rows, n):
     column j of C becomes r_j, which leaves C^-1's later rows unchanged
     (earlier rows are never read again). Raises NotPrimitiveError.
     """
-    c = [list(row) for row in identity_matrix(n)]
-    tail = [list(row) for row in identity_matrix(n)]  # rows j.. of C^-1
-    for j, r in enumerate(rows):
+    c, tail = start or (identity_matrix(n), identity_matrix(n))
+    c, tail = [list(row) for row in c], [list(row) for row in tail]
+    for j, r in enumerate(rows, n - len(tail)):
         w = list(mat_vec(tail, r))
         for i in range(len(w) - 1, 0, -1):
             a, b = w[i - 1], w[i]
@@ -314,43 +318,24 @@ def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     return _completion(_independent_rows(vectors, n), n)[0]
 
 
-def _extend_greedily(g: GramMatrix, rows, count):
-    """Extend the primitive system rows to count vectors, each a shortest
-    one extending the system so far: the first v in (q, vector_key(v))
-    order with gcd(tail v) = 1, read from one stream capped by the next
-    completion column (see the module docstring). Raises
-    NotPrimitiveError if rows is not primitive."""
+def _extend_greedily(g: GramMatrix):
+    """A basis of n vectors, each a shortest one extending the system so
+    far: the first v in (q, vector_key(v)) order with gcd(tail v) = 1,
+    read from one stream capped by the next completion column (see the
+    module docstring). Each chosen vector but the last is folded once
+    onto the completion carried from the step before."""
     a, n = g.scaled()[0], g.n
-    chosen = list(rows)
-
-    def complete():
-        c, tail = _completion(chosen, n)
-        col = [row[len(chosen)] for row in c]
-        return tail, sum(x * r for x, r in zip(col, mat_vec(a, col)))
-
-    tail, cap = complete()
+    chosen, c, tail, cap = [], identity_matrix(n), identity_matrix(n), a[0][0]
     for _, v in _in_norm_order(_reduced_view(g), lambda: cap):
         if gcd(*mat_vec(tail, v)) == 1:
             chosen.append(v)
-            if len(chosen) == count:
+            k = len(chosen)
+            if k == n:
                 return chosen
-            tail, cap = complete()
+            c, tail = _completion([v], n, (c, tail))
+            col = [row[k] for row in c]
+            cap = sum(x * r for x, r in zip(col, mat_vec(a, col)))
     raise AssertionError("completion column vanished from its own ball")
-
-
-def shortest_primitive_extension(g: GramMatrix, partial: Sequence[Sequence[int]]) -> IntVector:
-    """Shortest v extending the partial primitive system to a larger one.
-
-    The candidates come in (norm, pivot, coords) order, so the result is
-    deterministic. Raises DimensionMismatchError unless 0 < k < n vectors
-    of length n are given, DependentVectorsError for dependent ones and
-    NotPrimitiveError for a system that is not primitive.
-    """
-    partial = list(partial)
-    k = len(partial)
-    if not 0 < k < g.n:
-        raise DimensionMismatchError("partial system needs 1 to n - 1 vectors")
-    return _extend_greedily(g, _independent_rows(partial, g.n), k + 1)[k]
 
 
 def _signed_representative(a, parity):

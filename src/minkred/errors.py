@@ -57,8 +57,9 @@ class ReductionCapError(LatticeError, RuntimeError):
     """A reduction loop exceeded its iteration cap (treated as a bug).
 
     Nothing in minkred raises it now: reduction is one greedy pass with no
-    loop to cap. It is kept for callers that name it. Carries the trace of
-    fixes applied so far for post-mortem.
+    loop to cap. It is kept because the benchmark's gate test raises it by
+    name (bench/test_bench.py). Carries the trace of fixes applied so far
+    for post-mortem.
     """
 
     def __init__(self, trace, message=None):

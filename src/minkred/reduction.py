@@ -5,13 +5,15 @@ e_1..e_{k-1} to a primitive system. Equivalently Q(e_i) <= Q(u) for every
 u with gcd(u_i, ..., u_n) = 1, which one pass over the vectors in norm
 order decides for every index at once, in any feasible dimension. Both
 reducers are one greedy pass in norm order from nothing
-(enumeration._extend_greedily); minkowski_reduce reads its one fix from
-the first chosen vector that is not the unit vector e_k. The definitional
-check runs a pass of its own, so the two routes stay independent. The
-finite inequality tables (dimensions 2..6) never drive reduction; they are
-the independent certificate, and their agreement with the definitional
-check on random forms is itself one of the headline properties this
-package exists to exercise.
+(enumeration._extend_greedily), which folds each chosen vector once into
+the completion it carries, as the Hermite witness search does per node;
+minkowski_reduce reads its one fix from the first chosen vector that is
+not the unit vector e_k. The definitional check runs a pass of its own,
+so the two routes stay independent. The finite inequality tables
+(dimensions 2..6) never drive reduction; they are the independent
+certificate, and their agreement with the definitional check on random
+forms is itself one of the headline properties this package exists to
+exercise.
 
 The certificate scans the table candidates in canonical order, grouped by
 |coords| and check index: the exact integral bound
@@ -225,7 +227,7 @@ def minkowski_reduce(g: GramMatrix) -> ReductionReport:
     chosen from index k on.
     """
     n = g.n
-    rows = _extend_greedily(g, [], n)
+    rows = _extend_greedily(g)
     unit = identity_matrix(n)
     k = next((i for i in range(n) if rows[i] != unit[i]), None)
     if k is None:
@@ -243,7 +245,7 @@ def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
     included); ties break by vector_key. The output passes the
     definitional check by construction.
     """
-    rows = _extend_greedily(g, [], g.n)
+    rows = _extend_greedily(g)
     return _report(g, tuple(zip(*rows)), g.n, ())
 
 
@@ -262,9 +264,10 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
 
     Depth-first greedy over short vectors with primitivity checks: tie the
     input profile entry by entry, and the first position that can be
-    strictly undercut yields a witness (any completion works). Finding a
-    witness proves the input basis is not Hermite-reduced; exhausting the
-    budget proves nothing.
+    strictly undercut yields a witness (any completion works). A child
+    folds its vector into its parent's completion; complete_to_basis
+    builds the witness. Finding a witness proves the input basis is not
+    Hermite-reduced; exhausting the budget proves nothing.
     """
     n = g.n
     a = g.scaled()[0]
@@ -278,15 +281,12 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
 
     nodes = 0
 
-    def dfs(prefix):
+    def dfs(prefix, completion):
         # candidates come in norm order: those shorter than the target
         # would be witnesses, those equal to it tie and go one level down
         nonlocal nodes
         level = len(prefix)
-        if level == n:
-            return None  # full profile tie, not a witness
-        target = targets[level]
-        tail = _completion(prefix, n)[1]
+        target, tail = targets[level], completion[1]
         for q, v in cands:
             if q > target:
                 break
@@ -296,12 +296,14 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
             if gcd(*mat_vec(tail, v)) == 1:
                 if q < target:
                     return complete_to_basis(prefix + [v], n)
-                out = dfs(prefix + [v])
+                if level + 1 == n:
+                    continue  # full profile tie, not a witness
+                out = dfs(prefix + [v], _completion([v], n, completion))
                 if out is not None:
                     return out
         return None
 
-    out = dfs([])
+    out = dfs([], (identity_matrix(n), identity_matrix(n)))
     if out is None or out == "budget":
         return WitnessSearchResult(None, None, min(nodes, budget), budget)
     profile = tuple(sorted(evaluate_form(g, col) for col in zip(*out)))

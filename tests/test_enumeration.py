@@ -6,7 +6,13 @@ from math import gcd
 import pytest
 
 from minkred import enumeration
-from minkred.corpus import E8_STAR_COORDS, E9_STAR_COORDS, example9_gram, named_lattice
+from minkred.corpus import (
+    E8_STAR_COORDS,
+    E9_STAR_COORDS,
+    example9_gram,
+    example9_reduced_not_hermite,
+    named_lattice,
+)
 from minkred.enumeration import (
     _completion,
     _coset_layers,
@@ -18,7 +24,6 @@ from minkred.enumeration import (
     enumerate_short_vectors,
     is_primitive_system,
     lattice_minimum,
-    shortest_primitive_extension,
     successive_minima,
 )
 from minkred.errors import (
@@ -37,6 +42,7 @@ from minkred.exactlin import (
     mat_mul,
     mat_vec,
 )
+from minkred.reduction import greedy_minkowski_basis, minkowski_reduce
 
 from _generators import (
     random_generic_gram,
@@ -307,6 +313,21 @@ class TestPrimitivity:
         with pytest.raises(DependentVectorsError):
             complete_to_basis([(1, 2, 0), (2, 4, 0)], 3)
 
+    @pytest.mark.parametrize(
+        "vectors, error",
+        [
+            ([(1, 0)], DimensionMismatchError),
+            ([(1, 0, 0), (0, 1)], DimensionMismatchError),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], DependentVectorsError),
+        ],
+    )
+    def test_malformed_systems_rejected(self, vectors, error):
+        with pytest.raises(error):
+            complete_to_basis(vectors, 3)
+        if len(vectors[0]) == 3:
+            with pytest.raises(error):
+                is_primitive_system(vectors)
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_tail_gcd_matches_minor_oracle(self, n):
         rng = random.Random(n + 600)
@@ -335,83 +356,59 @@ class TestPrimitivity:
         assert verdicts == {True, False}
 
 
-class TestShortestPrimitiveExtension:
-    def test_identity3_tiebreak(self):
-        g = GramMatrix(identity_matrix(3))
-        assert shortest_primitive_extension(g, [(1, 0, 0)]) == (0, 1, 0)
+class TestIncrementalCompletion:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_row_by_row_fold_matches_one_call(self, n):
+        rng = random.Random(n + 640)
+        verdicts = set()
+        for _ in range(8):
+            t = random_unimodular(rng, n)
+            rows = [tuple(row[j] for row in t) for j in range(rng.randint(1, n))]
+            carried = None
+            for r in rows:
+                carried = _completion([r], n, carried)
+            assert carried == _completion(rows, n)
+            c, tail = carried
+            k = len(rows)
+            assert mat_mul(tail, c) == identity_matrix(n)[k:]
+            for _ in range(6 if k < n else 0):
+                v = tuple(rng.randint(-3, 3) for _ in range(n))
+                primitive = minor_gcd(rows + [v]) == 1
+                verdicts.add(primitive)
+                assert (gcd(*mat_vec(tail, v)) == 1) is primitive
+                if primitive:
+                    assert _completion([v], n, carried) == _completion(rows + [v], n)
+                else:
+                    with pytest.raises(NotPrimitiveError):
+                        _completion([v], n, carried)
+        assert verdicts == {True, False}
 
-    def test_3_1_1_4(self):
-        g = GramMatrix([[3, 1], [1, 4]])
-        v = shortest_primitive_extension(g, [(1, 0)])
-        assert v == (0, 1)
-        assert evaluate_form(g, v) == 4
 
-    def test_example9_extension_is_7_6(self):
-        g = example9_gram()
-        rows = [tuple(1 if j == i else 0 for j in range(9)) for i in range(7)]
-        rows.append(E8_STAR_COORDS)
-        v = shortest_primitive_extension(g, rows)
-        assert evaluate_form(g, v) == F(7, 6)
-        assert is_primitive_system(rows + [v])
+class TestGreedyPass:
+    def test_example9_star_basis_is_kept(self):
+        g = example9_reduced_not_hermite()
+        rep = minkowski_reduce(g)
+        assert rep.iterations == 0 and rep.reduced == g
+        assert g[8, 8] == evaluate_form(example9_gram(), E9_STAR_COORDS) == F(7, 6)
 
-    def test_full_system_rejected(self):
-        g = GramMatrix(identity_matrix(2))
-        with pytest.raises(DimensionMismatchError):
-            shortest_primitive_extension(g, [(1, 0), (0, 1)])
-
-    @pytest.mark.parametrize(
-        "partial, error",
-        [
-            ([], DimensionMismatchError),
-            ([(1, 0)], DimensionMismatchError),
-            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], DimensionMismatchError),
-            ([(0, 0, 0)], DependentVectorsError),
-            ([(1, 2, 0), (2, 4, 0)], DependentVectorsError),
-            ([(2, 0, 0)], NotPrimitiveError),
-            ([(1, 1, 0), (1, -1, 0)], NotPrimitiveError),
-        ],
-    )
-    def test_bad_partial_systems(self, partial, error):
-        with pytest.raises(error):
-            shortest_primitive_extension(GramMatrix(identity_matrix(3)), partial)
-
-    def test_one_completion_per_call(self, monkeypatch):
-        calls = []
+    def test_one_fold_per_chosen_vector(self, monkeypatch):
+        folds = []
         completion = enumeration._completion
 
-        def counted(rows, n):
-            calls.append(len(rows))
-            return completion(rows, n)
+        def counted(rows, n, start=None):
+            folds.append(len(rows))
+            return completion(rows, n, start)
 
         monkeypatch.setattr(enumeration, "_completion", counted)
         monkeypatch.setattr(enumeration, "is_primitive_system", None)
-        v = shortest_primitive_extension(random_pd_gram(random.Random(320), 4), [(1, 0, 0, 0)])
-        assert calls == [1]
-        assert minor_gcd([(1, 0, 0, 0), v]) == 1
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_extension_always_primitive_and_minimal(self, seed):
-        rng = random.Random(seed + 300)
-        n = rng.randint(2, 4)
-        g = random_pd_gram(rng, n)
-        k = rng.randint(1, n - 1)
-        while True:
-            vs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
-            try:
-                if is_primitive_system(vs):
-                    break
-            except DependentVectorsError:
-                continue
-        v = shortest_primitive_extension(g, vs)
-        assert is_primitive_system(vs + [v])
-        # oracle: no shorter extension exists among all short vectors
-        q = evaluate_form(g, v)
-        for w, qw in brute_short_vectors(g.rows, q):
-            if qw < q:
-                try:
-                    assert not is_primitive_system(vs + [w])
-                except DependentVectorsError:
-                    pass
+        rng = random.Random(320)
+        for n in range(2, 8):
+            g = apply_transform(random_pd_gram(rng, n), random_unimodular(rng, n))
+            for reduce in (minkowski_reduce, greedy_minkowski_basis):
+                folds.clear()
+                rep = reduce(GramMatrix(g.rows))
+                assert folds == [1] * (n - 1)  # the last vector needs no fold
+                assert int_determinant(rep.transform) in (1, -1)
 
 
 class TestCosetMinima:

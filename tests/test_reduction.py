@@ -663,7 +663,35 @@ class TestLLL:
         assert abs(rep.reduced[0, 1]) == abs(mk.reduced[0, 1])
 
 
+# The witness hermite_witness_search returns on example9-mnh, after 65 nodes.
+EXAMPLE9_WITNESS = (
+    (1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (0, 1, 0, 0, 0, 0, 0, 1, -2),
+    (0, 0, 1, 0, 0, 0, 0, 1, -2),
+    (0, 0, 0, 1, 0, 0, 0, 1, -1),
+    (0, 0, 0, 0, 1, 0, 0, 1, -1),
+    (0, 0, 0, 0, 0, 1, 0, 1, -1),
+    (0, 0, 0, 0, 0, 0, 1, 1, -1),
+    (0, 0, 0, 0, 0, 0, 0, 1, -1),
+    (0, 0, 0, 0, 0, 0, 0, -2, 3),
+)
+
+
 class TestHermiteWitness:
+    def test_example9_search_is_pinned(self, monkeypatch):
+        folds = []
+        completion = reduction._completion
+
+        def counted(rows, n, start=None):
+            folds.append(len(rows))
+            return completion(rows, n, start)
+
+        monkeypatch.setattr(reduction, "_completion", counted)
+        out = hermite_witness_search(named_lattice("example9-mnh"))
+        assert out.nodes == 65
+        assert out.basis == EXAMPLE9_WITNESS
+        assert folds and set(folds) == {1}  # the DFS folds each node's vector once
+
     def test_example9_witness_found(self):
         g = example9_reduced_not_hermite()
         out = hermite_witness_search(g, budget=100_000)
