@@ -15,13 +15,13 @@ A shortest vector under a side condition (tail gcd 1, primitive extension,
 independence) is read from one lazy stream, _in_norm_order: Fincke-Pohst
 balls of doubling radius in Schnorr-Euchner norm order, each norm layer
 mapped back only when a search reaches it. The classes of L/2L are read
-from one ball, _coset_layers: each leaf is binned by its parity y & 1 in
-the view's coordinates, which fixes the parity of x = T y, so each bin is
-keyed by its minima's parity in g's coordinates and keeps its least norm
-and that norm's +-pairs. The radius is the largest norm, over the classes,
-of a +-1 representative signed along its support: y_i = -1 if (A y)_i > 0,
-else +1. Each step adds a_ii + 2 y_i (A y)_i <= a_ii, so every class has a
-member inside the ball.
+from one ball, _coset_bins: its leaves, in norm order, are binned in
+integers by their parity y & 1 in the view's coordinates (which fixes
+that of x = T y), so a bin's first leaf is its minimum, and binning stops
+above the norm that fills the last class. The radius, _signed_radius, is
+the largest norm over the classes of a +-1 member signed along its
+support, y_i = -1 if (A y)_i > 0 else +1: each step adds a_ii + 2 y_i
+(A y)_i <= a_ii, and one walk over parity prefixes adds each row once.
 
 The greedy pass, _extend_greedily, reads one stream for a whole basis: a
 vector that cannot extend a system cannot extend a larger one, so no
@@ -42,7 +42,7 @@ Hermite witness search carry theirs and fold each chosen vector once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -338,50 +338,50 @@ def _extend_greedily(g: GramMatrix):
     raise AssertionError("completion column vanished from its own ball")
 
 
-def _signed_representative(a, parity):
-    """(y, y^T a y) for the +-1 member y of the class parity (mod 2) signed
-    greedily along its support, so y^T a y <= the sum of its a_ii."""
-    y, ay, q = [0] * len(a), [0] * len(a), 0
-    for i, p in enumerate(parity):
-        if p:
-            y[i] = s = -1 if ay[i] > 0 else 1
-            q += a[i][i] + 2 * s * ay[i]
-            ay = [u + s * r for u, r in zip(ay, a[i])]
-    return tuple(y), q
+def _signed_radius(a):
+    """The largest y^T a y, over the nonzero classes of L/2L, of the +-1
+    member y signed along its support, by one walk over parity prefixes:
+    the classes that extend a prefix share its (a y, y^T a y)."""
+    def walk(i, ay, q):
+        best = q
+        for j in range(i, len(a)):
+            s = -1 if ay[j] > 0 else 1
+            step = q + a[j][j] + 2 * s * ay[j]
+            best = max(best, walk(j + 1, [u + s * r for u, r in zip(ay, a[j])], step))
+        return best
+    return walk(0, [0] * len(a), 0)
+
+
+def _coset_bins(view: _ReducedView):
+    """The minima of each nonzero class of L/2L as a list of (coords, q),
+    in the view's coordinates with q an int; ties at the norm that fills
+    the last class are kept."""
+    n, top, bins = len(view.a_red), _signed_radius(view.a_red), {}
+    for coords, q in sorted(_enumerate_core(view, top, 1), key=itemgetter(1)):
+        if q > top:
+            break
+        key = tuple(x & 1 for x in coords)
+        least = bins.get(key)
+        if least is None and any(key):
+            bins[key] = [(coords, q)]
+            if len(bins) == 2**n - 1:
+                top = q
+        elif least and least[0][1] == q:
+            least.append((coords, q))
+    return list(bins.values())
 
 
 def _coset_layers(g: GramMatrix):
-    """{class: minima} for every nonzero class of L/2L, read from one ball.
-
-    A class is the parity v & 1 of its members in g's coordinates, read
-    from its minima: the leaves are binned by parity in the view's
-    coordinates, which fixes it in g's. The minima are the class's
-    least-norm members, one per +-pair, as (v, Q(v)) sorted by (Q(v), v).
-    The radius is the largest norm of a signed representative over the
-    classes, so the ball holds every class minimum.
-    """
+    """{class: minima}: the bins of :func:`_coset_bins`, keyed by parity in
+    g's coordinates and mapped back as (v, Q(v)) sorted by (Q(v), v)."""
     view = _reduced_view(g)
-    a = view.a_red
-    radius = max(_signed_representative(a, p)[1] for p in product((0, 1), repeat=len(a)))
-    bins = {}
-    for coords, q in _enumerate_core(view, radius, 1):
-        key = tuple(x & 1 for x in coords)
-        least = bins.get(key)
-        if least is None or q < least[0][1]:
-            bins[key] = [(coords, q)]
-        elif q == least[0][1]:
-            least.append((coords, q))
-    bins.pop((0,) * len(a), None)
-    layers = (_by_exact_norm(view, raw) for raw in bins.values())
+    layers = (_by_exact_norm(view, raw) for raw in _coset_bins(view))
     return {tuple(x & 1 for x in minima[0][0]): minima for minima in layers}
 
 
 def coset_minima(g: GramMatrix, parity: Sequence[int]):
-    """Shortest vectors of the coset {v : v = parity mod 2} of L/2L.
-
-    Returns (min norm^2, +-representatives), read from the one binned ball
-    of :func:`_coset_layers`.
-    """
+    """Shortest vectors of the coset {v : v = parity mod 2} of L/2L, as
+    (min norm^2, +-representatives), from :func:`_coset_layers`."""
     par = tuple(int(p) % 2 for p in parity)
     if len(par) != g.n:
         raise DimensionMismatchError("parity length mismatch")

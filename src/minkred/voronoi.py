@@ -1,11 +1,11 @@
 """Relevant vectors of the Dirichlet-Voronoi cell.
 
 Voronoi's criterion: v is relevant iff +-v are the unique minima of their
-coset of L/2L. One Fincke-Pohst ball, binned by parity, holds the minima
-of all 2^n - 1 nonzero cosets (enumeration._coset_layers). Its radius is
-the largest norm of a +-1 class representative signed greedily, y_i = -1
-if (A y)_i > 0 else +1, since each step adds a_ii + 2 y_i (A y)_i <= a_ii.
-Tie cosets contribute nothing.
+coset of L/2L. One Fincke-Pohst ball, binned in integers by parity in the
+LLL view's coordinates, holds the minima of all 2^n - 1 nonzero cosets
+(enumeration._coset_bins). Its radius is the largest norm of a +-1 class
+member signed greedily, priced by one walk over parity prefixes. Tie
+cosets contribute nothing, and only tie-free minima are mapped back.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import _coset_layers, lattice_minimum
+from .enumeration import _coset_bins, _map_back, _reduced_view, lattice_minimum
 from .errors import NotReducedError, UnsupportedDimensionError
 from .exactlin import GramMatrix, IntVector
 from .reduction import is_minkowski_reduced_table
@@ -51,15 +51,15 @@ def relevant_vectors(g: GramMatrix) -> RelevantVectorSet:
     """All facet normals of the Dirichlet-Voronoi cell, up to sign.
 
     Exact: a coset whose minimum is attained by more than one +-pair is a
-    tie and yields no relevant vector.
+    tie and yields no relevant vector; only the others are mapped back.
     """
-    n = g.n
-    if n > MAX_COSET_DIM:
+    if g.n > MAX_COSET_DIM:
         raise UnsupportedDimensionError(
-            f"coset enumeration supported up to dimension {MAX_COSET_DIM}, got {n}"
+            f"coset enumeration supported up to dimension {MAX_COSET_DIM}, got {g.n}"
         )
-    found = sorted((q, v) for (v, q), *ties in _coset_layers(g).values() if not ties)
-    return RelevantVectorSet(tuple(v for _, v in found), tuple(q for q, _ in found))
+    view = _reduced_view(g)
+    found = sorted((q, _map_back(view, y)) for (y, q), *ties in _coset_bins(view) if not ties)
+    return RelevantVectorSet(tuple(v for _, v in found), tuple(F(q, view.den) for q, _ in found))
 
 
 def certify_minima_relevant(g: GramMatrix) -> bool:

@@ -213,18 +213,21 @@ def flat_table_first_violation(rows, candidates):
 
 
 def brute_coset_minima(rows, parity, bound):
-    """Shortest vectors in the coset x = parity (mod 2), box-enumerated."""
+    """Shortest vectors in the coset x = parity (mod 2), box-enumerated:
+    each coordinate runs over the box's values of its parity, and x^T G x
+    is evaluated on den * G, in integers, as in brute_short_vectors."""
     bound = Fraction(bound)
     box = ball_box_bound(rows, bound)
+    den = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    a = [[int(Fraction(v) * den) for v in row] for row in rows]
+    n = len(rows)
     best = None
     reps = []
-    for x in product(*[range(-b, b + 1) for b in box]):
-        if any((xi - pi) % 2 for xi, pi in zip(x, parity)):
-            continue
+    for x in product(*[range(-b + (b + p) % 2, b + 1, 2) for b, p in zip(box, parity)]):
         if all(v == 0 for v in x):
             continue
-        q = eval_q(rows, x)
-        if q > bound:
+        q = sum(x[i] * a[i][j] * x[j] for i in range(n) for j in range(n))
+        if q > bound * den:
             continue
         if best is None or q < best:
             best = q
@@ -236,7 +239,20 @@ def brute_coset_minima(rows, parity, bound):
     for x in reps:
         first = next(v for v in x if v != 0)
         canon.add(x if first > 0 else tuple(-v for v in x))
-    return best, sorted(canon)
+    return (None if best is None else Fraction(best, den)), sorted(canon)
+
+
+def signed_representative(a, parity):
+    """(y, y^T a y) for the +-1 member y of the class parity (mod 2) signed
+    greedily along its support, y_i = -1 if (a y)_i > 0 else +1, one class
+    at a time, so y^T a y <= the sum of its a_ii."""
+    y, ay, q = [0] * len(a), [0] * len(a), 0
+    for i, p in enumerate(parity):
+        if p:
+            y[i] = s = -1 if ay[i] > 0 else 1
+            q += a[i][i] + 2 * s * ay[i]
+            ay = [u + s * r for u, r in zip(ay, a[i])]
+    return tuple(y), q
 
 
 def xgcd(a, b):

@@ -18,7 +18,7 @@ from minkred.enumeration import (
     _coset_layers,
     _in_norm_order,
     _reduced_view,
-    _signed_representative,
+    _signed_radius,
     complete_to_basis,
     coset_minima,
     enumerate_short_vectors,
@@ -59,6 +59,7 @@ from _oracles import (
     gram_inverse,
     minor_gcd,
     pivot_first,
+    signed_representative,
 )
 
 F = Fraction
@@ -446,9 +447,30 @@ class TestCosetMinima:
         for parity in product((0, 1), repeat=n):
             if not any(parity):
                 continue
-            y, q = _signed_representative(a, parity)
+            y, q = signed_representative(a, parity)
             assert all((yi - p) % 2 == 0 and abs(yi) <= 1 for yi, p in zip(y, parity))
             assert q == evaluate_form(g, y) * den
             assert q <= sum(a[i][i] for i in range(n) if parity[i])
             lam, _ = brute_coset_minima(g.rows, parity, F(q, den))
             assert lam * den <= q
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_signed_radius_is_the_largest_representative(self, n):
+        # generic forms, skewed named lattices, and forms on which (A y)_i
+        # is 0, where the sign is +1: a diagonal form at every step, and
+        # 2I with a_02 = a_12 = 1 at step 1 of the class (1, 1, 1, 0, ..),
+        # whose later (A y)_2 makes it cost 2, where -1 would cost 6
+        rng = random.Random(n + 560)
+        roots = {2: ("A2",), 3: ("A3", "D3"), 4: ("A4", "D4"), 5: ("A5", "D5"), 6: ("A6", "D6", "E6")}
+        ops = 3 * n if n > 1 else 0  # a 1x1 form has no row operation
+        forms = [random_generic_gram(rng, n), random_pd_gram(rng, n)]
+        forms += [apply_transform(named_lattice(name), random_unimodular(rng, n, ops=ops, coeff=2))
+                  for name in (f"Z{n}",) + roots.get(n, ())]
+        forms.append(GramMatrix([[rng.randint(1, 9) * (i == j) for j in range(n)] for i in range(n)]))
+        if n >= 3:
+            forms.append(GramMatrix([[2 * (i == j) + ({i, j} in ({0, 2}, {1, 2})) for j in range(n)]
+                                     for i in range(n)]))
+        for g in forms:
+            for a in (g.scaled()[0], _reduced_view(g).a_red):
+                expected = max(signed_representative(a, p)[1] for p in product((0, 1), repeat=n))
+                assert _signed_radius(a) == expected

@@ -7,7 +7,7 @@ import pytest
 from minkred import enumeration, voronoi
 from minkred.corpus import named_lattice
 from minkred.errors import NotReducedError, UnsupportedDimensionError
-from minkred.enumeration import _signed_representative
+from minkred.enumeration import _coset_layers, coset_minima
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, mat_vec
 from minkred.reduction import minkowski_reduce
 from minkred.tables import canonical_sign
@@ -23,9 +23,13 @@ from _generators import (
     random_unimodular,
     skewed_orthogonal_gram,
 )
-from _oracles import brute_coset_minima, eval_q, gram_inverse
+from _oracles import brute_coset_minima, eval_q, gram_inverse, signed_representative
 
 F = Fraction
+
+
+def _canonical(x):
+    return tuple(x) if next(v for v in x if v) > 0 else tuple(-v for v in x)
 
 
 class TestRelevantVectors:
@@ -111,7 +115,7 @@ class TestRelevantVectors:
         expected = []
         for parity in product((0, 1), repeat=n):
             if any(parity):
-                _, q = _signed_representative(a, parity)
+                _, q = signed_representative(a, parity)
                 lam, reps = brute_coset_minima(g.rows, parity, F(q, den))
                 assert lam <= radii[0]
                 if len(reps) == 1:
@@ -155,6 +159,49 @@ class TestRelevantVectors:
         monkeypatch.setattr(enumeration, "_enumerate_core", counted)
         relevant_vectors(random_generic_gram(random.Random(3), 5))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, top, classes, pairs, signed",
+        [(f"Z{n}", n, 1, 2 ** (n - 1), 2 * n) for n in range(2, 8)]
+        + [("A6", 6, 7, 10, 42), ("D6", 6, 2, 16, 60), ("E6", 4, 27, 5, 72)],
+    )
+    def test_ties_at_the_largest_class_minimum_are_kept(self, name, top, classes, pairs, signed):
+        # The binning stops above the norm that fills the last class, so
+        # every pair at that norm must still be kept. In Z^n the last class
+        # is (1, ..., 1), with minimum n reached by 2^(n-1) pairs. The box
+        # oracle runs on the named form and its minima y map to x = T^-1 y
+        # in the skewed form's coordinates.
+        base = named_lattice(name)
+        n = base.n
+        raw = _coset_layers(base)
+        tops = [p for p, minima in raw.items() if minima[0][1] == top]
+        assert max(minima[0][1] for minima in raw.values()) == top and len(tops) == classes
+        oracle = {p: brute_coset_minima(base.rows, p, top) for p in tops}
+        assert all(len(reps) == pairs for _, reps in oracle.values())
+        rng = random.Random(n + 40)
+        for t in (identity_matrix(n), random_unimodular(rng, n, coeff=2), random_unimodular(rng, n, coeff=2)):
+            g = apply_transform(base, t)
+            t_inv = [[int(x) for x in row] for row in gram_inverse(t)]
+            for p, (lam, reps) in oracle.items():
+                mapped = sorted(_canonical(mat_vec(t_inv, y)) for y in reps)
+                parity = tuple(x % 2 for x in mat_vec(t_inv, p))
+                assert coset_minima(g, parity) == (lam, tuple(mapped))
+            assert relevant_vectors(g).signed_count() == signed
+
+    def test_maps_back_only_the_vectors_it_returns(self, monkeypatch):
+        # tie cosets are dropped before any vector leaves the LLL view
+        calls = []
+        map_back = enumeration._map_back
+
+        def counted(view, coords):
+            calls.append(coords)
+            return map_back(view, coords)
+
+        monkeypatch.setattr(enumeration, "_map_back", counted)
+        monkeypatch.setattr(voronoi, "_map_back", counted, raising=False)
+        for g in (GramMatrix(identity_matrix(4)), named_lattice("E6"), random_pd_gram(random.Random(11), 5)):
+            calls.clear()
+            assert relevant_vectors(g).pair_count() == len(calls)
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
