@@ -80,11 +80,8 @@ class GramMatrix:
         """Return (A, d) with A integer, d > 0 and G = A / d."""
         cached = object.__getattribute__(self, "_scaled")
         if cached is None:
-            d = 1
-            for row in self.rows:
-                for x in row:
-                    d = lcm(d, x.denominator)
-            A = tuple(tuple(int(x * d) for x in row) for row in self.rows)
+            d = lcm(*{x.denominator for row in self.rows for x in row})
+            A = tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self.rows)
             cached = (A, d)
             object.__setattr__(self, "_scaled", cached)
         return cached

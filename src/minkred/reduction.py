@@ -15,12 +15,17 @@ certificate, and their agreement with the definitional check on random
 forms is itself one of the headline properties this package exists to
 exercise.
 
-The certificate scans the table candidates in canonical order, grouped by
-|coords| and check index: the exact integral bound
-Q(u) >= sum c_i^2 a_ii - 2 sum |c_i c_j| |a_ij| holds for every sign image
-u of a group, so a group whose bound reaches Q(e_i) is skipped unscanned.
-Its verdict is cached on the GramMatrix, next to the scaled Gram and the
-LLL view, so every check of one form shares one scan.
+The certificate evaluates every check in one exact sum. Each check
+(Q(e_{i+1}) >= Q(e_i), or a table candidate u against its tail gcd index
+i) is a fixed integer linear form in the upper-triangle entries a_jk of the
+scaled Gram, so s = bias + sum a_jk P_jk holds Q(u) - Q(e_i) + 2^(w-1) in
+w-bit slot c when P_jk packs a_jk's coefficient in every check, one slot per
+check in canonical order. w is the smallest power of two >= 16 with
+2^(w-1) > L1 max|a_jk|, L1 the largest absolute coefficient sum of a check
+(80 in dimension 6), so every slot lies in [0, 2^w) and none carries into
+the next. A check fails exactly when its slot's top bit is clear. The
+verdict is cached on the GramMatrix, next to the scaled Gram and the LLL
+view, so every check of one form shares one sum.
 """
 
 from __future__ import annotations
@@ -81,98 +86,84 @@ class WitnessSearchResult(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _scan_struct(n: int):
-    """Per-dimension candidate scan structure, built on first use.
+def _check_list(n: int):
+    """(checks, columns, L1) of dimension n, built on first use.
 
-    Returns (runs, groups). A group is every candidate with the same
-    |coords| and check index. groups[g] holds the (index, coefficient)
-    pairs of the group's exact lower bound
-    Q(u) >= sum c_i^2 a_ii - 2 sum |c_i c_j| |a_ij|, indexed into the flat
-    entries of the scaled Gram followed by their negated absolute values.
-    runs cut the canonical scan order into maximal stretches of one group:
-    (group, check index, members), each member (coords, flattened
-    quadratic-form coefficient pairs).
+    checks[c] = (u, i) in canonical order: the monotonicity checks
+    (e_{i+1}, i), then each tammela_reduction_candidates(n) entry against
+    its tail_gcd_index. Byte c of columns[p] is the coefficient of the
+    upper-triangle entry p (a_jk, j <= k, row by row) in Q(u) - Q(e_i),
+    offset by 128; bytes() rejects any coefficient outside [-128, 128).
     """
-    group_of: dict = {}
-    shared: dict = {}  # one tuple per distinct pair: they recur across 2470 candidates
-    groups = []
-    runs = []
-    for cand in tammela_reduction_candidates(n):
-        coords = cand.coords
-        ci = tail_gcd_index(coords)
-        pairs, bound = [], []
-        for i in range(n):
-            if coords[i]:
-                pairs.append((i * n + i, coords[i] * coords[i]))
-                bound.append(pairs[-1])
-                for j in range(i + 1, n):
-                    if coords[j]:
-                        pairs.append((i * n + j, 2 * coords[i] * coords[j]))
-                        bound.append((n * n + i * n + j, abs(pairs[-1][1])))
-        key = (tuple(abs(x) for x in coords), ci)
-        if key not in group_of:
-            group_of[key] = len(groups)
-            groups.append(tuple(bound))
-        gid = group_of[key]
-        if not runs or runs[-1][0] != gid:
-            runs.append((gid, ci, []))
-        runs[-1][2].append((coords, tuple(shared.setdefault(p, p) for p in pairs)))
-    return tuple((gid, ci, tuple(members)) for gid, ci, members in runs), tuple(groups)
+    unit = identity_matrix(n)
+    checks = [(unit[i + 1], i) for i in range(n - 1)]
+    checks += [(c.coords, tail_gcd_index(c.coords)) for c in tammela_reduction_candidates(n)]
+    entries = [(j, k) for j in range(n) for k in range(j, n)]
+    coeffs = [
+        [(1 if j == k else 2) * u[j] * u[k] - (j == k == i) for j, k in entries]
+        for u, i in checks
+    ]
+    columns = tuple(bytes(c + 128 for c in col) for col in zip(*coeffs))
+    return tuple(checks), columns, max(sum(map(abs, c)) for c in coeffs)
 
 
-def _first_violation_int(a, n, struct):
-    """First violated inequality on the scaled integer Gram, or None.
+@lru_cache(maxsize=None)
+def _packed(n: int, w: int):
+    """(bias, P) for slot width w: P[p] holds entry p's coefficient of check
+    c in slot c, bias holds 2^(w-1) in every slot. One strided slice
+    assignment per entry writes its column into the bottom bytes of the
+    slots; one subtraction of 128 per slot removes the offset."""
+    checks, columns, _ = _check_list(n)
+    size = w // 8
 
-    Monotonicity Q(e_{i+1}) >= Q(e_i) is checked first (as the candidate
-    u = e_{i+1} against index i), then the expanded candidates in their
-    canonical order. A group whose exact lower bound already reaches
-    Q(e_ci) holds no violation, so its members are skipped; each bound is
-    computed when the scan first meets its group, so the first violation
-    is the one a flat scan finds.
-    """
-    diag = [a[i][i] for i in range(n)]
-    for i in range(n - 1):
-        if diag[i + 1] < diag[i]:
-            u = tuple(1 if j == i + 1 else 0 for j in range(n))
-            return u, i, diag[i + 1]
-    flat = [x for row in a for x in row]
-    signed = flat + [-abs(x) for x in flat]
-    runs, groups = struct
-    skip = [None] * len(groups)
-    for gid, ci, members in runs:
-        t = diag[ci]
-        if skip[gid] is None:
-            b = 0
-            for idx, c in groups[gid]:
-                b += c * signed[idx]
-            skip[gid] = b >= t
-        if skip[gid]:
-            continue
-        for coords, pairs in members:
-            s = 0
-            for idx, c in pairs:
-                s += c * flat[idx]
-            if s < t:
-                return coords, ci, s
-    return None
+    def spread(data):  # byte c of data at the bottom of slot c
+        buf = bytearray(size * len(checks))
+        buf[::size] = data
+        return int.from_bytes(buf, "little")
+
+    ones = spread(bytes([1]) * len(checks))
+    return ones << (w - 1), tuple(spread(col) - 128 * ones for col in columns)
+
+
+def _packed_sum(a, n):
+    """(s, w) on the scaled integer Gram a: slot c of s holds
+    Q(u_c) - Q(e_{i_c}) + 2^(w-1), at the width of the module docstring."""
+    entries = [a[j][k] for j in range(n) for k in range(j, n)]
+    w = max(16, 1 << (_check_list(n)[2] * max(map(abs, entries))).bit_length().bit_length())
+    s, packed = _packed(n, w)
+    for x, p in zip(entries, packed):
+        s += x * p
+    return s, w
+
+
+def _first_violation_int(a, n):
+    """(u, i, Q(u)) of the lowest slot with its top bit clear, the first
+    violated check in canonical order, or None."""
+    s, w = _packed_sum(a, n)
+    low = _packed(n, w)[0] & ~s
+    if not low:
+        return None
+    c = ((low & -low).bit_length() - 1) // w
+    u, i = _check_list(n)[0][c]
+    return u, i, a[i][i] + ((s >> (w * c)) & ((1 << w) - 1)) - (1 << (w - 1))
 
 
 def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
     """Certify reducedness by the finite inequality system (2 <= n <= 6).
 
-    Returns True, or the first Violation in canonical candidate order,
-    the same one a flat scan of every candidate finds: only groups of
-    sign images whose exact lower bound already reaches Q(e_i) are
-    skipped. The verdict is cached in g's _table slot (g is immutable),
-    so check_theorem_bound and check_table4_membership read it instead
-    of scanning again; an equal but distinct GramMatrix scans afresh.
+    Returns True, or the first Violation in canonical check order, the one
+    a flat scan finds, from one packed sum of every check whose slots are
+    wide enough that none carries (see the module docstring). The verdict
+    is cached in g's _table slot (g is immutable), so check_theorem_bound
+    and check_table4_membership read it instead of evaluating again; an
+    equal but distinct GramMatrix evaluates afresh.
     """
-    struct = _scan_struct(g.n)  # raises UnsupportedDimensionError outside 2..6
+    _check_list(g.n)  # raises UnsupportedDimensionError outside 2..6
     verdict = object.__getattribute__(g, "_table")
     if verdict is None:
         a, den = g.scaled()
         integral_gram_schmidt(a)  # raises NotPositiveDefiniteError(k)
-        hit = _first_violation_int(a, g.n, struct)
+        hit = _first_violation_int(a, g.n)
         if hit is None:
             verdict = True
         else:

@@ -4,7 +4,7 @@ Everything here is deliberately implemented by a different route than the
 library (Gaussian elimination instead of Bareiss, gcd of minors instead of
 Euclid completion, a search over the grid (1/V) Z^n instead of the group
 spanned by adj(M) / det M, box enumeration instead of pruned search, a
-flat scan of every table candidate instead of grouped bounds) so a bug in
+flat scan of every table check instead of one packed sum) so a bug in
 the library cannot hide in its own oracle.
 """
 
@@ -77,6 +77,13 @@ def brute_coset_reps(rows):
     return v, tuple(sorted(reps)), lcm(*(x.denominator for y in reps for x in y))
 
 
+def scaled_int(rows):
+    """(A, den): den the lcm of the entries' denominators and A = den * G,
+    each entry by a Fraction product truncated to int."""
+    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(Fraction(x) * den) for x in row] for row in rows], den
+
+
 def eval_q(rows, x):
     """x^T G x via the bilinear expansion, independent of the library."""
     n = len(rows)
@@ -124,8 +131,7 @@ def brute_short_vectors(rows, bound):
     bound = Fraction(bound)
     box = ball_box_bound(rows, bound)
     # x^T G x on den * G, in integers: the box holds thousands of points
-    den = lcm(*(Fraction(v).denominator for row in rows for v in row))
-    a = [[int(Fraction(v) * den) for v in row] for row in rows]
+    a, den = scaled_int(rows)
     n = len(rows)
     found = []
     for x in product(*[range(-b, b + 1) for b in box]):
@@ -194,8 +200,7 @@ def table_checks(rows, candidates):
     k, then each candidate against the largest i with gcd(u_i..u_n) = 1.
     Q is evaluated on every candidate; none is ever skipped."""
     n = len(rows)
-    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
-    a = [[int(Fraction(x) * den) for x in row] for row in rows]
+    a, den = scaled_int(rows)
     for k in range(n - 1):
         u = tuple(int(j == k + 1) for j in range(n))
         yield u, k, Fraction(a[k + 1][k + 1], den), Fraction(a[k][k], den)
@@ -218,8 +223,7 @@ def brute_coset_minima(rows, parity, bound):
     is evaluated on den * G, in integers, as in brute_short_vectors."""
     bound = Fraction(bound)
     box = ball_box_bound(rows, bound)
-    den = lcm(*(Fraction(v).denominator for row in rows for v in row))
-    a = [[int(Fraction(v) * den) for v in row] for row in rows]
+    a, den = scaled_int(rows)
     n = len(rows)
     best = None
     reps = []

@@ -31,7 +31,7 @@ from minkred.exactlin import (
 from minkred.corpus import example9_gram, example9_embedded
 
 from _generators import random_generic_gram, random_unimodular
-from _oracles import frac_det_gauss, minor_pivots, eval_q
+from _oracles import frac_det_gauss, minor_pivots, eval_q, scaled_int
 
 
 F = Fraction
@@ -124,6 +124,25 @@ class TestLDL:
     def test_not_symmetric_rejected(self):
         with pytest.raises(NotSymmetricError):
             GramMatrix([[1, 2], [3, 1]])
+
+
+class TestScaled:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rational_entries_match_fraction_products(self, seed):
+        rng = random.Random(seed + 700)
+        dens = [1, 2, 3, 4, 6, 7, 9, 12, 2**61 - 1, 3**30]
+        for n in range(1, 7):
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    x = F(rng.randint(-10**6, 10**6), rng.choice(dens))
+                    rows[i][j] = rows[j][i] = x
+            a, den = scaled_int(rows)
+            assert GramMatrix(rows).scaled() == (tuple(map(tuple, a)), den)
+
+    def test_integral_and_negative(self):
+        assert GramMatrix([[-3, 5], [5, 0]]).scaled() == (((-3, 5), (5, 0)), 1)
+        assert GramMatrix([[F(-1, 2), F(1, 3)], [F(1, 3), 0]]).scaled() == (((-3, 2), (2, 0)), 6)
 
 
 class TestEvaluateForm:

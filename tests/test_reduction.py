@@ -96,6 +96,10 @@ def _check_values(g):
     return [q_u - q_ei for _, _, q_u, q_ei in table_checks(g.rows, cands)]
 
 
+def _scaled_by(g, scale):
+    return GramMatrix([[x * scale for x in row] for row in g.rows])
+
+
 def _no_scan(*args):
     raise AssertionError("the table was scanned again")
 
@@ -120,7 +124,7 @@ def _face_form(rng, n):
 
 
 class TestTableCertificate:
-    """The grouped scan against a flat scan of every candidate."""
+    """The packed sum against a flat scan of every check."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_generic_unreduced(self, seed):
@@ -176,19 +180,74 @@ class TestTableCertificate:
                 _assert_table_matches_flat_scan(GramMatrix(rows))
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_scan_groups_partition_the_candidates(self, n):
-        runs, groups = reduction._scan_struct(n)
-        assert len(groups) == {2: 1, 3: 4, 4: 11, 5: 31, 6: 138}[n]
-        members = [(coords, gid, ci) for gid, ci, ms in runs for coords, _ in ms]
-        assert [m[0] for m in members] == [c.coords for c in tammela_reduction_candidates(n)]
-        keys = {}
-        for coords, gid, ci in members:
-            assert ci == tail_gcd_index(coords)
-            keys.setdefault(gid, set()).add((tuple(abs(x) for x in coords), ci))
-        assert sorted(keys) == list(range(len(groups)))
-        assert all(len(k) == 1 for k in keys.values())
-        assert len(set().union(*keys.values())) == len(groups)
-        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    def test_packed_slots_are_the_checks(self, n):
+        checks, columns, l1 = reduction._check_list(n)
+        cands = [c.coords for c in tammela_reduction_candidates(n)]
+        unit = identity_matrix(n)
+        assert list(checks) == [(unit[i + 1], i) for i in range(n - 1)] + [
+            (u, tail_gcd_index(u)) for u in cands
+        ]
+        assert [len(col) for col in columns] == [len(checks)] * (n * (n + 1) // 2)
+        # sum |coefficients| of Q(u) - Q(e_i): (sum |u_j|)^2 with u_i^2 made |u_i^2 - 1|
+        assert l1 == max(
+            sum(map(abs, u)) ** 2 - u[i] ** 2 + abs(u[i] ** 2 - 1) for u, i in checks
+        )
+        rng = random.Random(9600 + n)
+        for _ in range(4):
+            g = random_generic_gram(rng, n, spread=rng.choice([2, 10, 50]))
+            a, den = g.scaled()
+            s, w = reduction._packed_sum(a, n)
+            bias = reduction._packed(n, w)[0]
+            assert bias.bit_length() == w * len(checks) and bin(bias).count("1") == len(checks)
+            assert s >> (w * len(checks)) == 0
+            slots = [(s >> (w * c)) % (1 << w) - (1 << (w - 1)) for c in range(len(checks))]
+            want = [(q_u - q_ei) * den for _, _, q_u, q_ei in table_checks(g.rows, cands)]
+            assert slots == want
+
+    @pytest.mark.parametrize("scale", [F(2**70), F(1, 3**40), F(2**100 + 1, 7)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_scaled_forms_need_wide_slots(self, scale, seed):
+        rng = random.Random(seed + 9700)
+        for n in range(2, 7):
+            g = random_generic_gram(rng, n, spread=rng.choice([3, 50]))
+            face = _face_form(rng, n)
+            for form in (g, minkowski_reduce(g).reduced, face):
+                _assert_table_matches_flat_scan(_scaled_by(form, scale))
+            assert min(_check_values(_scaled_by(face, scale))) == 0
+            assert is_minkowski_reduced_table(_scaled_by(face, scale)) is True
+
+    @pytest.mark.parametrize("k", [2**100 + 1, 3**80])
+    def test_violation_of_one_at_a_large_scale(self, k):
+        # Q((1, -1)) - a_11 = k + (k + 1) - 2b - (k + 1) = -1 for 2b = k + 1, k odd
+        for n in range(2, 7):
+            rows = [[k + i if i == j else 0 for j in range(n)] for i in range(n)]
+            rows[0][1] = rows[1][0] = (k + 1) // 2
+            g = GramMatrix(rows)
+            _assert_table_matches_flat_scan(g)
+            v = is_minkowski_reduced_table(g)
+            assert v.vector[:2] == (1, -1) and v.index == 1 and v.q_u - v.q_ei == -1
+            assert reduction._packed_sum(g.scaled()[0], n)[1] > 64
+
+    @pytest.mark.parametrize("w", [16, 32, 64, 128])
+    def test_slot_values_near_the_width_bound(self, w):
+        # L1 max|a| = 3m lies in [2^(w-1), 2^w), so slots need width 2w, and
+        # Q((1, 1)) - a_11 = 2m - 2 >= 2^(w-1) does not fit a w-bit slot
+        m = 2 ** (w - 2) + 2 ** (w - 4)
+        g = GramMatrix([[m, m // 2 - 1], [m // 2 - 1, m]])
+        assert reduction._packed_sum(g.scaled()[0], 2)[1] == 2 * w
+        assert max(_check_values(g)) >= 2 ** (w - 1)
+        _assert_table_matches_flat_scan(g)
+
+    def test_two_widths_in_one_process(self):
+        rng = random.Random(9800)
+        narrow = minkowski_reduce(random_generic_gram(rng, 6, spread=3)).reduced
+        moved = apply_transform(narrow, random_unimodular(rng, 6, ops=1, coeff=2))
+        forms = [narrow, moved, _scaled_by(narrow, F(2**70)), _scaled_by(moved, F(2**70))]
+        widths = {reduction._packed_sum(f.scaled()[0], 6)[1] for f in forms}
+        assert len(widths) == 2
+        for _ in range(2):
+            for f in forms:
+                _assert_table_matches_flat_scan(GramMatrix(f.rows))
 
     def test_one_scan_per_form(self, monkeypatch):
         rng = random.Random(9300)
