@@ -1,11 +1,16 @@
 """Exact short-vector enumeration and primitivity machinery.
 
 The enumeration core is a Fincke-Pohst recursion over the integral
-Gram-Schmidt quantities (d, lambda) of the scaled integer Gram matrix:
-every pruning bound is an integer square root of an exact rational, so no
-decision ever touches floating point. A leaf's norm is the recursion's
-own exact sum, an integer; _quad_int_range is exact, so every leaf it
-admits lies in the ball and none is checked again. Every search runs on
+Gram-Schmidt quantities (d, lambda) of the scaled integer Gram matrix
+(Cohen, A Course in Computational Algebraic Number Theory, 2.6.3). Level
+j carries one integer, N_j = d[j] times the squared length of x's
+projection orthogonal to the first j basis vectors, which is a Gram
+determinant; one level down, N_j = (d[j] N_{j+1} + w_j^2) / d[j+1]
+divides exactly, and x_j's range is one integer square root of a number
+about the size of d[j] d[j+1] bound, so no decision ever touches floating
+point and no intermediate grows with the depth. A leaf's norm is N_0, an
+integer; the range is exact, so every leaf lies in the ball and none is
+checked again. Every search runs on
 the LLL view of the form, built once per GramMatrix and cached on it, and
 witnesses are mapped back, which changes nothing observable. The view
 keeps the d and lambda that LLL ends with, so no search recomputes them.
@@ -44,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from ._lll import lll_transform
@@ -86,27 +91,23 @@ def vector_key(coords):
 # ---------------------------------------------------------------------------
 # core enumeration
 
-def _quad_int_range(c_num, c_den, t_num, t_den):
-    """Integer solutions of (x + c_num/c_den)^2 <= t_num/t_den, as [lo, hi].
-
-    Exact: hi = floor(sqrt(t) - c) and lo = ceil(-sqrt(t) - c) reduce to
-    floor divisions against isqrt because sqrt(M) - g < 1 for g = isqrt(M).
-    """
-    big = t_num * t_den * c_den * c_den
-    g = isqrt(big)
-    v = t_den * c_den
-    u = c_num * t_den
-    return -((g + u) // v), (g - u) // v
-
-
 def _enumerate_core(view, bound_num, bound_den):
-    """All nonzero x with x^T A x <= bound (one representative per +-pair),
-    for A = view.a_red, pruned with the view's d and lambda.
+    """All nonzero x with x^T A x <= bound = bound_num / bound_den >= 0 (one
+    representative per +-pair), for A = view.a_red, pruned with the view's
+    d and lambda.
 
-    Returns a list of (coords, q) with q = x^T A x an int: a leaf's q is
-    the recursion's own exact sum. Every x_0 in the exact range of
-    _quad_int_range meets the bound, so no leaf is evaluated or checked
-    again.
+    Returns a list of (coords, q) with q = x^T A x an int. With w_k =
+    sum_{i>=k} lam[i][k] x_i (lam[k][k] = d[k+1]), the squared length of
+    x's projection orthogonal to the first j basis vectors is S_j =
+    sum_{k>=j} w_k^2 / (d[k] d[k+1]) (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.6.3). Level j carries N_j = d[j] S_j, the
+    Gram determinant of those j vectors and x, an integer; so
+    N_j = (d[j] N_{j+1} + w_j^2) / d[j+1] divides exactly. x_j is kept iff
+    N_j <= d[j] bound, that is iff w_j^2 <= floor(d[j] (bound_num d[j+1] -
+    bound_den N_{j+1}) / bound_den), the floor of a non-negative number
+    below d[j] d[j+1] bound_num: the range of x_j is one isqrt and two
+    floor divisions. A leaf's q is N_0 (d[0] = 1), so no leaf is evaluated
+    or checked again.
     """
     d, lam = view.d, view.lam
     n = len(lam)
@@ -114,33 +115,29 @@ def _enumerate_core(view, bound_num, bound_den):
     results: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
 
-    def descend(j, s_num, s_den, tail_zero):
-        rem_num = bound_num * s_den - s_num * bound_den
-        rem_den = bound_den * s_den
-        if rem_num < 0:
-            return
+    def descend(j, above, tail_zero):
+        # above = N_{j+1}; every x_j in [lo, hi] has N_j <= d[j] bound
+        dj, dj1 = d[j], d[j + 1]
+        g = isqrt(dj * (bound_num * dj1 - bound_den * above) // bound_den)
         lam_j = lam_cols[j]
         c = 0
         for i in range(j + 1, n):
             if x[i]:
                 c += lam_j[i] * x[i]
-        dj1 = d[j + 1]
-        lo, hi = _quad_int_range(c, dj1, rem_num * d[j], rem_den * dj1)
+        lo, hi = -((g + c) // dj1), (g - c) // dj1
         if tail_zero and lo < 0:
             lo = 0
-        scale = dj1 * d[j]
-        base, den = s_num * scale, s_den * scale
+        base = dj * above
         for xj in range(lo, hi + 1):
             x[j] = xj
-            tz = tail_zero and xj == 0
             w = dj1 * xj + c
             if j:
-                descend(j - 1, base + s_den * w * w, den, tz)
-            elif not tz:
-                results.append((tuple(x), (base + s_den * w * w) // den))
+                descend(j - 1, (base + w * w) // dj1, tail_zero and xj == 0)
+            elif xj or not tail_zero:
+                results.append((tuple(x), (base + w * w) // dj1))
         x[j] = 0
 
-    descend(n - 1, 0, 1, True)
+    descend(n - 1, 0, True)
     return results
 
 
@@ -334,7 +331,7 @@ def _extend_greedily(g: GramMatrix):
                 return chosen
             c, tail = _completion([v], n, (c, tail))
             col = [row[k] for row in c]
-            cap = sum(x * r for x, r in zip(col, mat_vec(a, col)))
+            cap = sum(map(mul, col, mat_vec(a, col)))
     raise AssertionError("completion column vanished from its own ball")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -139,17 +140,13 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_transpose(m) -> tuple[tuple, ...]:
-    return tuple(zip(*m))
-
-
 def mat_mul(a, b) -> tuple[tuple, ...]:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -226,7 +223,7 @@ def evaluate_form(g: GramMatrix, x: Sequence[int]) -> Fraction:
     if len(x) != g.n:
         raise DimensionMismatchError(f"vector length {len(x)} != form dimension {g.n}")
     a, den = g.scaled()
-    return Fraction(sum(u * v for u, v in zip(x, mat_vec(a, x))), den)
+    return Fraction(sum(map(mul, x, mat_vec(a, x))), den)
 
 
 def ldl_decompose(g: GramMatrix) -> tuple[FracMatrix, tuple[Fraction, ...]]:
@@ -328,6 +325,14 @@ def apply_transform(g: GramMatrix, t) -> GramMatrix:
 
 def transform_gram_int(a: Sequence[Sequence[int]], t: Sequence[Sequence[int]]):
     """T^T A T over plain ints: the one basis change of a form, on its
-    scaled Gram."""
-    at = mat_mul(a, t)
-    return mat_mul(mat_transpose(t), at)
+    scaled Gram. A is symmetric, so only the entries j >= i are computed,
+    each as column i of T against A times column j, and mirrored."""
+    cols = tuple(zip(*t))
+    a_cols = [mat_vec(a, col) for col in cols]
+    n = len(cols)
+    out = [[0] * n for _ in range(n)]
+    for i, col in enumerate(cols):
+        row = out[i]
+        for j in range(i, n):
+            row[j] = out[j][i] = sum(map(mul, col, a_cols[j]))
+    return tuple(map(tuple, out))

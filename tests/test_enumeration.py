@@ -1,7 +1,8 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -121,26 +122,66 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_skewed_inputs_still_complete(self, seed):
-        # The box oracle runs on the unskewed base, whose box is small: with
-        # g = T^T base T, Q_g(x) = Q_base(T x), so each y maps to x = T^-1 y.
         rng = random.Random(seed + 100)
         n = rng.randint(2, 3)
         base = random_pd_gram(rng, n)
-        t = random_unimodular(rng, n)
-        g = apply_transform(base, t)
         bound = min(base[i, i] for i in range(n))
-        t_inv = gram_inverse(t)
-        expected = []
-        for y, q in brute_short_vectors(base.rows, bound):
-            x = [sum(t_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
-            assert all(v.denominator == 1 for v in x)
-            x = tuple(int(v) for v in x)
-            if next(v for v in x if v) < 0:
-                x = tuple(-v for v in x)
-            expected.append((x, q))
-        expected.sort(key=lambda e: (e[1], e[0]))
-        got = [(v, q) for v, q in enumerate_short_vectors(g, bound).vectors]
-        assert got == expected
+        _assert_complete_when_skewed(base, random_unimodular(rng, n), bound)
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_skewed_inputs_still_complete_in_high_dimension(self, n):
+        # A2 plus a diagonal of 3s to 5s: at the least diagonal entry 2 the
+        # box holds 25 * 3^(n-2) points. The bound 5/2 takes the core's
+        # bound_den > 1 and stops just below the diagonal's norm-3 vectors.
+        rows = [[0] * n for _ in range(n)]
+        rows[0][:2], rows[1][:2] = [2, -1], [-1, 2]
+        for i in range(2, n):
+            rows[i][i] = 3 + i % 3
+        base = GramMatrix(rows)
+        t = random_unimodular(random.Random(n + 700), n)
+        for bound in (F(2), F(5, 2)):
+            _assert_complete_when_skewed(base, t, bound)
+
+    def test_isqrt_arguments_stay_bounded(self, monkeypatch):
+        # Each range is one isqrt of floor(d[j] (bound_num d[j+1] - bound_den
+        # N_{j+1}) / bound_den) < d[j] d[j+1] bound_num, whatever the depth,
+        # on a skewed copy of the paper's 9-dim example.
+        g = apply_transform(example9_gram(), random_unimodular(random.Random(9), 9, ops=18))
+        view = _reduced_view(g)
+        d = view.d
+        sizes = []
+
+        def logged(m):
+            # the level of the call, read from the recursion's frame
+            sizes.append((sys._getframe(1).f_locals["j"], m.bit_length()))
+            return isqrt(m)
+
+        monkeypatch.setattr(enumeration, "isqrt", logged)
+        top = max(view.a_red[i][i] for i in range(9))
+        for num, den in ((top, 1), (3 * top + 1, 2)):
+            sizes.clear()
+            assert enumeration._enumerate_core(view, num, den)
+            for j, bits in sizes:
+                assert bits <= num.bit_length() + d[j].bit_length() + d[j + 1].bit_length() + 2
+
+
+def _assert_complete_when_skewed(base, t, bound):
+    """enumerate_short_vectors(T^T base T, bound) against the box oracle on
+    the unskewed base, whose box is small: Q_g(x) = Q_base(T x), so each y
+    maps to x = T^-1 y."""
+    n = base.n
+    t_inv = gram_inverse(t)
+    expected = []
+    for y, q in brute_short_vectors(base.rows, bound):
+        x = [sum(t_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
+        assert all(v.denominator == 1 for v in x)
+        x = tuple(int(v) for v in x)
+        if next(v for v in x if v) < 0:
+            x = tuple(-v for v in x)
+        expected.append((x, q))
+    expected.sort(key=lambda e: (e[1], e[0]))
+    got = [(v, q) for v, q in enumerate_short_vectors(apply_transform(base, t), bound).vectors]
+    assert got == expected
 
 
 def _record_radii(monkeypatch):

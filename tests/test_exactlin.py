@@ -27,6 +27,9 @@ from minkred.exactlin import (
     integral_gram_schmidt,
     is_positive_definite,
     ldl_decompose,
+    mat_mul,
+    mat_vec,
+    transform_gram_int,
 )
 from minkred.corpus import example9_gram, example9_embedded
 
@@ -285,3 +288,47 @@ class TestApplyTransform:
             n = rng.randint(1, 5)
             m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
             assert int_determinant(m) == int(frac_det_gauss(m))
+
+
+def _random_entry(rng, rational):
+    x = rng.randint(-9, 9)
+    return F(x, rng.randint(1, 6)) if rational else x
+
+
+def _random_matrix(rng, rows, cols, rational=False):
+    return [[_random_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+
+
+class TestIntegerHelpers:
+    """mat_vec, mat_mul and transform_gram_int against naive index loops,
+    on int and on Fraction entries."""
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mat_vec_and_mat_mul(self, seed, rational):
+        rng = random.Random(seed + 40)
+        n, k, m = rng.sample(range(1, 10), 3)  # distinct, so a and b are not square
+        a = _random_matrix(rng, n, k, rational)
+        b = _random_matrix(rng, k, m, rational)
+        v = [_random_entry(rng, rational) for _ in range(k)]
+        assert mat_vec(a, v) == tuple(sum(a[i][j] * v[j] for j in range(k)) for i in range(n))
+        product = mat_mul(a, b)
+        assert len(product) == n and all(len(row) == m for row in product)
+        for i in range(n):
+            for j in range(m):
+                assert product[i][j] == sum(a[i][r] * b[r][j] for r in range(k))
+
+    @pytest.mark.parametrize("rational", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_transform_gram_int(self, seed, rational):
+        rng = random.Random(seed + 50)
+        n = rng.randint(1, 9)
+        half = _random_matrix(rng, n, n, rational)
+        a = [[half[i][j] if i <= j else half[j][i] for j in range(n)] for i in range(n)]
+        t = _random_matrix(rng, n, n, rational)
+        out = transform_gram_int(a, t)
+        for i in range(n):
+            for j in range(n):
+                expected = sum(t[r][i] * a[r][s] * t[s][j] for r in range(n) for s in range(n))
+                assert out[i][j] == expected
+                assert out[i][j] == out[j][i]
