@@ -69,15 +69,6 @@ def centering_data(sub_basis: Sequence[Sequence[int]]) -> CenteringData:
     return CenteringData(abs(det), reps, lcm(*(x.denominator for g in generators for x in g)))
 
 
-def has_half_centered_face(data: CenteringData) -> bool:
-    """True when some coset representative centers a face with denominator
-    2, i.e. equals 1/2 on a nonempty coordinate subset and 0 elsewhere."""
-    for rep in data.coset_reps:
-        if any(x == F(1, 2) for x in rep) and all(x in (0, F(1, 2)) for x in rep):
-            return True
-    return False
-
-
 def classify_centering(data: CenteringData, n: int) -> Optional[CenteringClass]:
     """Match against the admissible-centering table, up to coordinate
     permutation; None means "unknown" (not an admissible centering of a

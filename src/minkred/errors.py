@@ -1,9 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Every failure mode that callers are expected to distinguish (CLI exit
-codes, "dependent" vs "not primitive", iteration caps) gets its own
-class; everything derives from LatticeError so blanket handling stays
-possible.
+codes, "dependent" vs "not primitive") gets its own class; everything
+derives from LatticeError so blanket handling stays possible.
 """
 
 
@@ -34,7 +33,7 @@ class NotPositiveDefiniteError(LatticeError, ValueError):
 
 
 class NotUnimodularError(LatticeError, ValueError):
-    """An integer transform does not have determinant +-1."""
+    """A transform has a non-integral entry or a determinant other than +-1."""
 
 
 class DependentVectorsError(LatticeError, ValueError):

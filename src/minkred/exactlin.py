@@ -32,66 +32,85 @@ def _as_frac_rows(rows) -> FracMatrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _scale(rows: FracMatrix) -> tuple[IntMatrix, int]:
+    """(A, den): den the lcm of the entries' denominators and A = den * rows,
+    so gcd(content(A), den) = 1."""
+    den = lcm(*{x.denominator for row in rows for x in row})
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
 class GramMatrix:
     """Symmetric rational matrix of a quadratic form Q(x) = x^T G x.
 
+    The form is stored once, as its scaled integer Gram (A, den): den > 0
+    is the least common denominator of the entries and G = A / den, so
+    gcd(content(A), den) = 1 and equal forms store equal pairs. Rational
+    entries (:attr:`rows`, indexing, :meth:`diagonal`) are built on demand.
     Symmetry is validated at construction; positive definiteness is a
     property of most operations' preconditions and is checked on demand
     (see :func:`first_nonpositive_pivot`). Instances are immutable and
     hashable. Each instance caches what is derived from it on first use:
-    the scaled integer Gram (:meth:`scaled`), the LLL view
-    (``enumeration._reduced_view``) and the table verdict
+    the LLL view (``enumeration._reduced_view``) and the table verdict
     (``reduction.is_minkowski_reduced_table``). The caches belong to the
     instance; an equal GramMatrix computes its own. Positive definiteness
     is not cached: the integral Gram-Schmidt kernel decides it wherever
     it runs (LLL, LDL, the table check), raising at the first bad pivot.
     """
 
-    __slots__ = ("n", "rows", "_scaled", "_view", "_table")
+    __slots__ = ("n", "_int", "_view", "_table")
 
     def __init__(self, rows):
-        frac_rows = _as_frac_rows(rows)
-        n = len(frac_rows)
-        if n == 0 or any(len(r) != n for r in frac_rows):
+        a, den = _scale(_as_frac_rows(rows))
+        n = len(a)
+        if n == 0 or any(len(r) != n for r in a):
             raise DimensionMismatchError("Gram matrix must be square and non-empty")
         for i in range(n):
             for j in range(i):
-                if frac_rows[i][j] != frac_rows[j][i]:
+                if a[i][j] != a[j][i]:
                     raise NotSymmetricError(
                         f"entry ({i},{j}) != entry ({j},{i}): "
-                        f"{frac_rows[i][j]} vs {frac_rows[j][i]}"
+                        f"{Fraction(a[i][j], den)} vs {Fraction(a[j][i], den)}"
                     )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", frac_rows)
-        object.__setattr__(self, "_scaled", None)
+        self._store(a, den)
+
+    @classmethod
+    def _from_scaled(cls, a: IntMatrix, den: int) -> GramMatrix:
+        """The form A / den of a symmetric integer A already in lowest terms."""
+        g = object.__new__(cls)
+        g._store(a, den)
+        return g
+
+    def _store(self, a, den):
+        object.__setattr__(self, "n", len(a))
+        object.__setattr__(self, "_int", (a, den))
         object.__setattr__(self, "_view", None)  # LLL view, see enumeration
         object.__setattr__(self, "_table", None)  # table verdict, see reduction
 
     def __setattr__(self, name, value):
         raise AttributeError("GramMatrix is immutable")
 
+    @property
+    def rows(self) -> FracMatrix:
+        a, den = self._int
+        return tuple(tuple(Fraction(x, den) for x in row) for row in a)
+
     def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+        a, den = self._int
+        return Fraction(a[ij[0]][ij[1]], den)
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
+        a, den = self._int
+        return tuple(Fraction(a[i][i], den) for i in range(self.n))
 
     def scaled(self) -> tuple[IntMatrix, int]:
         """Return (A, d) with A integer, d > 0 and G = A / d."""
-        cached = object.__getattribute__(self, "_scaled")
-        if cached is None:
-            d = lcm(*{x.denominator for row in self.rows for x in row})
-            A = tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self.rows)
-            cached = (A, d)
-            object.__setattr__(self, "_scaled", cached)
-        return cached
+        return self._int
 
     def __eq__(self, other):
-        return isinstance(other, GramMatrix) and self.rows == other.rows
+        return isinstance(other, GramMatrix) and self._int == other._int
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._int)
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
@@ -189,24 +208,10 @@ def int_determinant(m: Sequence[Sequence[int]]) -> int:
 
 
 def determinant(m) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Rows are scaled to integers first, then eliminated fraction-free so
-    intermediate values stay bounded.
-    """
-    rows = _as_frac_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("determinant needs a square matrix")
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        scale *= d
-        int_rows.append([int(x * d) for x in row])
-    return Fraction(int_determinant(int_rows)) / scale
+    """Exact determinant of a square rational matrix: that of its scaled
+    integer matrix A = den M (see :func:`_scale`), over den^n."""
+    a, den = _scale(_as_frac_rows(m))
+    return Fraction(int_determinant(a), den ** len(a))
 
 
 def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
@@ -297,30 +302,29 @@ def is_positive_definite(g: GramMatrix) -> bool:
 
 def gram_from_basis(b: EmbeddedBasis) -> GramMatrix:
     """Exact B^T B of an embedded basis; errors on dependent columns."""
-    d, n = b.ambient_dim, b.rank
-    cols = [b.column(j) for j in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum(cols[i][k] * cols[j][k] for k in range(d)))
-        rows.append(row)
-    g = GramMatrix(rows)
-    if determinant(g.rows) == 0:
+    cols = [b.column(j) for j in range(b.rank)]
+    g = GramMatrix([[sum(map(mul, u, v)) for v in cols] for u in cols])
+    if int_determinant(g.scaled()[0]) == 0:
         raise DependentVectorsError("basis columns are linearly dependent")
     return g
 
 
 def apply_transform(g: GramMatrix, t) -> GramMatrix:
-    """Return T^T G T for a unimodular integer T (columns = new basis)."""
-    rows = [[int(x) for x in row] for row in t]
+    """Return T^T G T for a unimodular integer T (columns = new basis);
+    a non-integral entry of T raises NotUnimodularError."""
+    t = tuple(map(tuple, t))
+    rows = tuple(tuple(map(int, row)) for row in t)
+    if rows != t:
+        i, j = next((i, j) for i, row in enumerate(t) for j, x in enumerate(row) if x != rows[i][j])
+        raise NotUnimodularError(f"entry ({i},{j}) is {t[i][j]}, not an integer")
     if len(rows) != g.n or any(len(r) != g.n for r in rows):
         raise DimensionMismatchError("transform shape does not match form")
     det = int_determinant(rows)
     if det not in (1, -1):
         raise NotUnimodularError(f"determinant is {det}, expected +-1")
     a, den = g.scaled()
-    return GramMatrix([[Fraction(x, den) for x in row] for row in transform_gram_int(a, rows)])
+    # T^T A T keeps the content of A, coprime to den: still in lowest terms
+    return GramMatrix._from_scaled(transform_gram_int(a, rows), den)
 
 
 def transform_gram_int(a: Sequence[Sequence[int]], t: Sequence[Sequence[int]]):

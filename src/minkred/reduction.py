@@ -24,8 +24,8 @@ check in canonical order. w is the smallest power of two >= 16 with
 2^(w-1) > L1 max|a_jk|, L1 the largest absolute coefficient sum of a check
 (80 in dimension 6), so every slot lies in [0, 2^w) and none carries into
 the next. A check fails exactly when its slot's top bit is clear. The
-verdict is cached on the GramMatrix, next to the scaled Gram and the LLL
-view, so every check of one form shares one sum.
+verdict is cached on the GramMatrix, next to its LLL view, so every check
+of one form shares one sum.
 """
 
 from __future__ import annotations

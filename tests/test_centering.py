@@ -7,7 +7,6 @@ from minkred.centering import (
     centering_data,
     check_theorem_bound,
     classify_centering,
-    has_half_centered_face,
     merge_theorem_reports,
 )
 from minkred.corpus import E8_STAR_COORDS, named_lattice
@@ -172,6 +171,12 @@ class TestClassification:
     def test_data_of_another_dimension_rejected(self, rows):
         with pytest.raises(DimensionMismatchError):
             classify_centering(centering_data(rows), 4)
+
+
+def has_half_centered_face(data):
+    """True when some coset representative centers a face with denominator
+    2, i.e. equals 1/2 on a nonempty coordinate subset and 0 elsewhere."""
+    return any(H in rep and all(x in (0, H) for x in rep) for rep in data.coset_reps)
 
 
 class TestObservationB:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,19 +130,48 @@ class TestLDL:
             GramMatrix([[1, 2], [3, 1]])
 
 
+def _random_rational_rows(rng, n):
+    dens = [1, 2, 3, 4, 6, 7, 9, 12, 2**61 - 1, 3**30]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = F(rng.randint(-10**6, 10**6), rng.choice(dens))
+    return rows
+
+
+def _content(a):
+    return gcd(*(x for row in a for x in row))
+
+
 class TestScaled:
     @pytest.mark.parametrize("seed", range(8))
     def test_rational_entries_match_fraction_products(self, seed):
         rng = random.Random(seed + 700)
-        dens = [1, 2, 3, 4, 6, 7, 9, 12, 2**61 - 1, 3**30]
         for n in range(1, 7):
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    x = F(rng.randint(-10**6, 10**6), rng.choice(dens))
-                    rows[i][j] = rows[j][i] = x
+            rows = _random_rational_rows(rng, n)
             a, den = scaled_int(rows)
             assert GramMatrix(rows).scaled() == (tuple(map(tuple, a)), den)
+            assert gcd(_content(a), den) == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_basis_change_matches_fraction_products(self, seed):
+        # apply_transform builds its result from T^T A T and den alone;
+        # the oracle multiplies the rational entries out
+        rng = random.Random(seed + 750)
+        for n in range(2, 7):
+            rows = _random_rational_rows(rng, n)
+            t = random_unimodular(rng, n)
+            want = [
+                [sum(t[k][i] * rows[k][m] * t[m][j] for k in range(n) for m in range(n))
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            out = apply_transform(GramMatrix(rows), t)
+            a, den = scaled_int(want)
+            assert out.scaled() == (tuple(map(tuple, a)), den)
+            assert gcd(_content(out.scaled()[0]), den) == 1
+            rebuilt = GramMatrix(want)
+            assert out == rebuilt and hash(out) == hash(rebuilt) and repr(out) == repr(rebuilt)
 
     def test_integral_and_negative(self):
         assert GramMatrix([[-3, 5], [5, 0]]).scaled() == (((-3, 5), (5, 0)), 1)
@@ -281,6 +311,18 @@ class TestApplyTransform:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodularError):
             apply_transform(GramMatrix([[1, 0], [0, 1]]), ((2, 0), (0, 1)))
+
+    def test_rejects_non_integral_entries(self):
+        g = GramMatrix([[2, 1], [1, 2]])
+        with pytest.raises(NotUnimodularError, match=r"entry \(0,0\)"):
+            apply_transform(g, [[F(3, 2), F(1, 2)], [0, 1]])
+        with pytest.raises(NotUnimodularError, match=r"entry \(1,0\)"):
+            apply_transform(g, [[1, 0], [0.5, 1]])
+
+    def test_accepts_integral_fractions(self):
+        g = GramMatrix([[2, 1], [1, 2]])
+        out = apply_transform(g, [[F(1), F(2, 1)], [0, 1.0]])
+        assert out == apply_transform(g, ((1, 2), (0, 1)))
 
     def test_int_determinant_matches_oracle(self):
         rng = random.Random(3)
