@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for Minkowski reduction of positive definite
 quadratic forms in low dimensions: finite reduction tables, short-vector
 enumeration, Dirichlet-Voronoi relevant vectors, admissible centerings and
-the coordinate-bound verifier, all over rational arithmetic."""
+the coordinate-bound verifier; every decision runs on exact integers."""
 
 from .exactlin import (
     EmbeddedBasis,

@@ -34,7 +34,7 @@ def _reduce_step(d, lam, t, k, l):
 
 
 def lll_transform(a, delta=Fraction(3, 4)):
-    """Reduce the integer Gram matrix ``a``.
+    """Reduce the integer Gram matrix ``a`` with the Fraction ``delta``.
 
     Returns (t, swaps, d, lam): t is the unimodular transform whose
     columns are the reduced basis in input coordinates (reduced Gram =
@@ -44,7 +44,6 @@ def lll_transform(a, delta=Fraction(3, 4)):
     Raises NotPositiveDefiniteError when a leading minor is <= 0.
     """
     n = len(a)
-    delta = Fraction(delta)
     p, q = delta.numerator, delta.denominator
     dd, lam = integral_gram_schmidt(a)
     # transform columns are basis vectors; column ops mirror basis ops

@@ -15,8 +15,13 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .enumeration import lattice_minimum
-from .errors import DependentVectorsError, DimensionMismatchError, NotReducedError
-from .exactlin import GramMatrix, int_determinant
+from .errors import (
+    DependentVectorsError,
+    DimensionMismatchError,
+    InvalidInputError,
+    NotReducedError,
+)
+from .exactlin import GramMatrix, _int_rows, int_determinant
 from .reduction import is_minkowski_reduced_table
 from .tables import (
     CenteringClass,
@@ -51,10 +56,12 @@ def centering_data(sub_basis: Sequence[Sequence[int]]) -> CenteringData:
     representatives are the V = |det M| classes of Z^n / M Z^n in sub-basis
     coordinates, reduced into [0,1)^n. The sub-basis coordinates of e_i,
     column i of M^-1 = adj(M) / det M, generate that group mod 1.
+    ``sub_basis`` is n >= 1 vectors of n integer coordinates (ints,
+    integral Fractions or floats; exactlin._int_rows).
     """
-    rows = [tuple(int(x) for x in v) for v in sub_basis]
+    rows = _int_rows(sub_basis, len(sub_basis), "centering_data")
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    if n == 0:
         raise DimensionMismatchError("need n sub-basis vectors of length n")
     det = int_determinant(rows)
     if det == 0:
@@ -112,7 +119,7 @@ def check_theorem_bound(g: GramMatrix) -> TheoremReport:
 def merge_theorem_reports(reports: Sequence[TheoremReport]) -> TheoremReport:
     """Order-independent aggregation of per-instance reports."""
     if not reports:
-        raise ValueError("no theorem reports to merge")
+        raise InvalidInputError("merge_theorem_reports: no reports to merge")
     dims = {r.dimension for r in reports}
     if len(dims) != 1:
         raise DimensionMismatchError(f"reports of mixed dimensions {sorted(dims)}")

@@ -53,11 +53,17 @@ from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from ._lll import lll_transform
-from .errors import DependentVectorsError, DimensionMismatchError, NotPrimitiveError
+from .errors import (
+    DependentVectorsError,
+    DimensionMismatchError,
+    InvalidInputError,
+    NotPrimitiveError,
+)
 from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
+    _int_rows,
     identity_matrix,
     int_matrix_rank,
     mat_vec,
@@ -206,7 +212,7 @@ def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
     """
     bound = Fraction(bound)
     if bound <= 0:
-        raise ValueError("bound must be positive")
+        raise InvalidInputError(f"enumerate_short_vectors: bound must be positive, got {bound}")
     view = _reduced_view(g)
     scaled = bound * view.den
     raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
@@ -283,12 +289,10 @@ def _completion(rows, n, start=None):
     return tuple(map(tuple, c)), tuple(map(tuple, tail))
 
 
-def _independent_rows(vectors, n):
-    """The vectors as int rows, checked to be independent and of length n.
-    Raises DimensionMismatchError or DependentVectorsError."""
-    rows = [tuple(int(x) for x in v) for v in vectors]
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("vector length does not match dimension")
+def _independent_rows(vectors, n, entry):
+    """The vectors as int rows of length n (exactlin._int_rows, naming
+    ``entry``), checked to be independent. Raises DependentVectorsError."""
+    rows = _int_rows(vectors, n, entry)
     if len(rows) > n or int_matrix_rank(rows) != len(rows):
         raise DependentVectorsError("vectors are linearly dependent")
     return rows
@@ -297,13 +301,14 @@ def _independent_rows(vectors, n):
 def is_primitive_system(vectors: Sequence[Sequence[int]]) -> bool:
     """True iff the integer span of the vectors equals the intersection of
     their linear span with the ambient lattice, i.e. iff they are the first
-    columns of some unimodular matrix."""
+    columns of some unimodular matrix. The vectors are k >= 1 independent
+    integer vectors of one length (ints, integral Fractions or floats)."""
     vectors = list(vectors)
     if not vectors:
         raise DimensionMismatchError("empty vector system")
     n = len(vectors[0])
     try:
-        _completion(_independent_rows(vectors, n), n)
+        _completion(_independent_rows(vectors, n, "is_primitive_system"), n)
     except NotPrimitiveError:
         return False
     return True
@@ -311,8 +316,9 @@ def is_primitive_system(vectors: Sequence[Sequence[int]]) -> bool:
 
 def complete_to_basis(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     """Unimodular matrix whose first k columns are the given primitive
-    system, built by Euclid steps on the vectors' coordinates."""
-    return _completion(_independent_rows(vectors, n), n)[0]
+    system of k <= n integer vectors of length n, as is_primitive_system
+    takes them, built by Euclid steps on the vectors' coordinates."""
+    return _completion(_independent_rows(vectors, n, "complete_to_basis"), n)[0]
 
 
 def _extend_greedily(g: GramMatrix):
@@ -378,11 +384,10 @@ def _coset_layers(g: GramMatrix):
 
 def coset_minima(g: GramMatrix, parity: Sequence[int]):
     """Shortest vectors of the coset {v : v = parity mod 2} of L/2L, as
-    (min norm^2, +-representatives), from :func:`_coset_layers`."""
-    par = tuple(int(p) % 2 for p in parity)
-    if len(par) != g.n:
-        raise DimensionMismatchError("parity length mismatch")
+    (min norm^2, +-representatives), from :func:`_coset_layers`. parity
+    is n integer coordinates, read mod 2, of a class other than zero."""
+    par = tuple(p % 2 for p in _int_rows((parity,), g.n, "coset_minima")[0])
     if not any(par):
-        raise ValueError("parity class must be nonzero")
+        raise InvalidInputError(f"coset_minima: parity class {par} must be nonzero")
     minima = _coset_layers(g)[par]
     return minima[0][1], tuple(v for v, _ in minima)

@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to distinguish (CLI exit
 codes, "dependent" vs "not primitive") gets its own class; everything
-derives from LatticeError so blanket handling stays possible.
+derives from LatticeError so blanket handling stays possible. Outside
+input beyond an entry point's domain raises InvalidInputError.
 """
 
 
@@ -32,8 +33,12 @@ class NotPositiveDefiniteError(LatticeError, ValueError):
         )
 
 
-class NotUnimodularError(LatticeError, ValueError):
-    """A transform has a non-integral entry or a determinant other than +-1."""
+class InvalidInputError(LatticeError, ValueError):
+    """Outside input lies outside the domain of the entry point it names."""
+
+
+class NotUnimodularError(InvalidInputError):
+    """apply_transform's T has a non-integral entry or determinant not +-1."""
 
 
 class DependentVectorsError(LatticeError, ValueError):

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .errors import (
     DependentVectorsError,
     DimensionMismatchError,
+    InvalidInputError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     NotUnimodularError,
@@ -26,6 +27,32 @@ from .errors import (
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 FracMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+def _int_rows(rows, n: int, entry: str, error=InvalidInputError) -> IntMatrix:
+    """Integer-coordinate input as rows of plain ints, the one rule for it:
+    ints, integral Fractions and integral floats pass; any other entry
+    raises ``error`` naming ``entry`` and its position (i,j), and a row
+    whose length is not n raises DimensionMismatchError."""
+    rows = tuple(map(tuple, rows))
+    try:
+        out = tuple(tuple(map(int, row)) for row in rows)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != rows:
+        i, j, x = next((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+                       if not _is_int(x))
+        raise error(f"{entry}: entry ({i},{j}) is {x!r}, not an integer")
+    if any(len(r) != n for r in out):
+        raise DimensionMismatchError(f"{entry}: rows must have length {n}")
+    return out
+
+
+def _is_int(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _as_frac_rows(rows) -> FracMatrix:
@@ -224,9 +251,8 @@ def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
 
 def evaluate_form(g: GramMatrix, x: Sequence[int]) -> Fraction:
     """Evaluate Q(x) = x^T G x exactly, as x^T A x / den on the scaled
-    Gram (A, den)."""
-    if len(x) != g.n:
-        raise DimensionMismatchError(f"vector length {len(x)} != form dimension {g.n}")
+    Gram (A, den), at n integer coordinates x (see :func:`_int_rows`)."""
+    (x,) = _int_rows((x,), g.n, "evaluate_form")
     a, den = g.scaled()
     return Fraction(sum(map(mul, x, mat_vec(a, x))), den)
 
@@ -312,12 +338,8 @@ def gram_from_basis(b: EmbeddedBasis) -> GramMatrix:
 def apply_transform(g: GramMatrix, t) -> GramMatrix:
     """Return T^T G T for a unimodular integer T (columns = new basis);
     a non-integral entry of T raises NotUnimodularError."""
-    t = tuple(map(tuple, t))
-    rows = tuple(tuple(map(int, row)) for row in t)
-    if rows != t:
-        i, j = next((i, j) for i, row in enumerate(t) for j, x in enumerate(row) if x != rows[i][j])
-        raise NotUnimodularError(f"entry ({i},{j}) is {t[i][j]}, not an integer")
-    if len(rows) != g.n or any(len(r) != g.n for r in rows):
+    rows = _int_rows(t, g.n, "apply_transform", NotUnimodularError)
+    if len(rows) != g.n:
         raise DimensionMismatchError("transform shape does not match form")
     det = int_determinant(rows)
     if det not in (1, -1):

@@ -45,6 +45,7 @@ from .enumeration import (
     _reduced_view,
     complete_to_basis,
 )
+from .errors import InvalidInputError
 from .exactlin import (
     GramMatrix,
     IntMatrix,
@@ -245,7 +246,7 @@ def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
     comparison baseline. iterations counts swaps."""
     delta = Fraction(delta)
     if not (F(1, 4) < delta <= 1):
-        raise ValueError(f"delta must satisfy 1/4 < delta <= 1, got {delta}")
+        raise InvalidInputError(f"lll_reduce: delta must satisfy 1/4 < delta <= 1, got {delta}")
     t, swaps = lll_transform(g.scaled()[0], delta)[:2]
     return _report(g, t, swaps, ())
 

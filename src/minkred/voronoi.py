@@ -17,7 +17,7 @@ from .enumeration import _coset_bins, _map_back, _reduced_view, lattice_minimum
 from .errors import NotReducedError, UnsupportedDimensionError
 from .exactlin import GramMatrix, IntVector
 from .reduction import is_minkowski_reduced_table
-from .tables import MAX_TABLE_DIM, relevant_abs_patterns
+from .tables import relevant_abs_patterns
 
 F = Fraction
 
@@ -74,10 +74,6 @@ def check_table4_membership(g: GramMatrix) -> Table4Report:
     the expanded relevant-vector candidates (Minkowski-reduced basis,
     dimensions 2..6). Mismatches are reported, never suppressed."""
     n = g.n
-    if n > MAX_TABLE_DIM:
-        raise UnsupportedDimensionError(
-            f"candidate table covers dimensions up to {MAX_TABLE_DIM}, got {n}"
-        )
     verdict = is_minkowski_reduced_table(g)
     if verdict is not True:
         raise NotReducedError(

@@ -1,0 +1,79 @@
+"""One rule for integer-coordinate input, at every entry point that takes it.
+
+Ints, integral Fractions and integral floats pass as plain ints; any other
+entry raises InvalidInputError (NotUnimodularError, a subclass, for
+apply_transform) naming the entry point and the position (i,j). Every
+rejection of outside input is a LatticeError.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from minkred.centering import centering_data, merge_theorem_reports
+from minkred.corpus import named_lattice
+from minkred.enumeration import (
+    complete_to_basis,
+    coset_minima,
+    enumerate_short_vectors,
+    is_primitive_system,
+)
+from minkred.errors import InvalidInputError, LatticeError, NotUnimodularError
+from minkred.exactlin import apply_transform, evaluate_form
+from minkred.reduction import lll_reduce
+
+A2 = named_lattice("A2")
+
+# entry point: (call on rows of coordinates, valid int rows)
+ENTRIES = {
+    "apply_transform": (lambda rows: apply_transform(A2, rows), [[1, 1], [0, 1]]),
+    "evaluate_form": (lambda rows: evaluate_form(A2, rows[0]), [[2, -1]]),
+    "centering_data": (centering_data, [[2, 1], [0, 3]]),
+    "is_primitive_system": (is_primitive_system, [[1, 2], [0, 1]]),
+    "complete_to_basis": (lambda rows: complete_to_basis(rows, 2), [[3, 2]]),
+    "coset_minima": (lambda rows: coset_minima(A2, rows[0]), [[1, 3]]),
+}
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 2.5, "1", None, float("nan")], ids=repr)
+@pytest.mark.parametrize("name", ENTRIES)
+def test_non_integer_entry_is_rejected_by_name_and_position(name, bad):
+    call, rows = ENTRIES[name]
+    rows = [list(row) for row in rows]
+    i, j = len(rows) - 1, 1
+    rows[i][j] = bad
+    error = NotUnimodularError if name == "apply_transform" else InvalidInputError
+    with pytest.raises(error, match=rf"^{name}: entry \({i},{j}\)"):
+        call(rows)
+
+
+@pytest.mark.parametrize("kind", [F, float])
+@pytest.mark.parametrize("name", ENTRIES)
+def test_integral_fractions_and_floats_pass_as_ints(name, kind):
+    call, rows = ENTRIES[name]
+    # repr tells a plain int from an integral Fraction or float in the result
+    assert repr(call([[kind(x) for x in row] for row in rows])) == repr(call(rows))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("centering_data", lambda: centering_data([[2.5, 0], [0, 1]])),
+    ("coset_minima", lambda: coset_minima(A2, [1.5, 0])),
+    ("is_primitive_system", lambda: is_primitive_system([[1.5, 0]])),
+    ("complete_to_basis", lambda: complete_to_basis([[F(1, 2), 1]], 2)),
+    ("evaluate_form", lambda: evaluate_form(A2, [F(1, 2), 1])),
+])
+def test_formerly_truncated_inputs_raise(name, call):
+    with pytest.raises(InvalidInputError, match=rf"^{name}: entry \(0,0\)"):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, 0)),
+    ("coset_minima", lambda: coset_minima(A2, [2, 0])),
+    ("lll_reduce", lambda: lll_reduce(A2, F(1, 4))),
+    ("merge_theorem_reports", lambda: merge_theorem_reports([])),
+])
+def test_domain_errors_are_lattice_errors(name, call):
+    with pytest.raises(LatticeError, match=rf"^{name}: ") as info:
+        call()
+    assert isinstance(info.value, InvalidInputError) and isinstance(info.value, ValueError)
