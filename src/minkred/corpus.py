@@ -1,20 +1,15 @@
-"""Fixture lattices, a text file format for lattices, and JSON reports.
+"""Fixture lattices: the registry of named test lattices.
 
 The 9-dimensional worked example lives here: the 12x9 embedded basis, its
 Gram matrix, and the Minkowski-reduced-but-not-Hermite-reduced companion
-obtained by swapping in the two starred vectors. No CLI reads the file
-format yet: pyproject.toml names minkred.cli, which does not exist.
+obtained by swapping in the two starred vectors.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from fractions import Fraction
 from functools import lru_cache
-from hashlib import sha256
 
-from .errors import ParseError
 from .exactlin import EmbeddedBasis, GramMatrix, apply_transform, gram_from_basis
 
 F = Fraction
@@ -134,125 +129,3 @@ def named_lattice(name: str) -> GramMatrix:
     if name == "example9-mnh":
         return example9_reduced_not_hermite()
     raise KeyError(f"unknown lattice name {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# lattice files
-#
-# Grammar: '#' starts a comment (to end of line), blank lines are skipped.
-# First token line is either "gram n" or "basis d n"; the following
-# whitespace-separated entries (n*n or d*n of them, row-major) are integers
-# or "p/q" rationals. Round-trips are bit exact.
-
-def _parse_rational(tok: str) -> Fraction:
-    try:
-        if "/" in tok:
-            p, q = tok.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational token {tok!r}") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def loads_lattice(text: str):
-    """Parse a lattice file body into a GramMatrix or EmbeddedBasis."""
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens:
-        raise ParseError("empty lattice file")
-    kind = tokens[0]
-    if kind == "gram":
-        if len(tokens) < 2:
-            raise ParseError("gram header needs a dimension")
-        try:
-            n = int(tokens[1])
-        except ValueError as exc:
-            raise ParseError(f"bad dimension {tokens[1]!r}") from exc
-        body = tokens[2:]
-        if n < 1 or len(body) != n * n:
-            raise ParseError(f"expected {n * n} entries for gram {n}, got {len(body)}")
-        vals = [_parse_rational(t) for t in body]
-        rows = [vals[i * n : (i + 1) * n] for i in range(n)]
-        return GramMatrix(rows)
-    if kind == "basis":
-        if len(tokens) < 3:
-            raise ParseError("basis header needs ambient dim and rank")
-        try:
-            d, n = int(tokens[1]), int(tokens[2])
-        except ValueError as exc:
-            raise ParseError("bad basis header dims") from exc
-        body = tokens[3:]
-        if d < 1 or n < 1 or len(body) != d * n:
-            raise ParseError(f"expected {d * n} entries for basis {d} {n}, got {len(body)}")
-        vals = [_parse_rational(t) for t in body]
-        rows = [vals[i * n : (i + 1) * n] for i in range(d)]
-        return EmbeddedBasis(rows)
-    raise ParseError(f"unknown lattice kind {kind!r}")
-
-
-def dumps_lattice(obj) -> str:
-    """Serialize a GramMatrix or EmbeddedBasis in canonical form."""
-    out = io.StringIO()
-    if isinstance(obj, GramMatrix):
-        out.write(f"gram {obj.n}\n")
-        rows = obj.rows
-    elif isinstance(obj, EmbeddedBasis):
-        out.write(f"basis {obj.ambient_dim} {obj.rank}\n")
-        rows = obj.matrix
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    for row in rows:
-        out.write(" ".join(format_rational(x) for x in row) + "\n")
-    return out.getvalue()
-
-
-def read_lattice_file(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return loads_lattice(f.read())
-
-
-def write_lattice_file(path, obj):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_lattice(obj))
-
-
-def lattice_hash(obj) -> str:
-    """sha256 of the canonical serialization (formatting-insensitive)."""
-    return sha256(dumps_lattice(obj).encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# JSON reports
-
-def _jsonify(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, GramMatrix):
-        return [[_jsonify(x) for x in row] for row in value.rows]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
-def render_report(command: str, input_hash, results, violations=None, timings=None) -> str:
-    """Stable JSON report. Rationals are serialized as "p/q" strings;
-    timings are included only when explicitly passed (reports are expected
-    to be byte-identical across reruns otherwise)."""
-    doc = {
-        "command": command,
-        "input_hash": input_hash,
-        "results": _jsonify(results),
-        "violations": _jsonify(violations if violations is not None else []),
-    }
-    if timings is not None:
-        doc["timings"] = timings
-    return json.dumps(doc, indent=2, sort_keys=True)

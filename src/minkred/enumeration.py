@@ -63,6 +63,7 @@ from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
+    _frac_rows,
     _int_rows,
     identity_matrix,
     int_matrix_rank,
@@ -208,9 +209,10 @@ def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
 
     Exact for every positive definite G; representatives carry canonical
     sign (first nonzero coordinate positive) and are sorted by
-    (norm^2, coordinates).
+    (norm^2, coordinates). The bound follows the rational input rule of
+    :func:`exactlin._frac_rows`.
     """
-    bound = Fraction(bound)
+    ((bound,),) = _frac_rows(((bound,),), "enumerate_short_vectors")
     if bound <= 0:
         raise InvalidInputError(f"enumerate_short_vectors: bound must be positive, got {bound}")
     view = _reduced_view(g)

@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-Every failure mode that callers are expected to distinguish (CLI exit
-codes, "dependent" vs "not primitive") gets its own class; everything
-derives from LatticeError so blanket handling stays possible. Outside
-input beyond an entry point's domain raises InvalidInputError.
+Every failure mode that callers are expected to distinguish ("dependent"
+vs "not primitive", an unreduced form vs an unsupported dimension) gets
+its own class; everything derives from LatticeError so blanket handling
+stays possible. Outside input beyond an entry point's domain raises
+InvalidInputError.
 """
 
 
@@ -69,7 +70,3 @@ class ReductionCapError(LatticeError, RuntimeError):
     def __init__(self, trace, message=None):
         self.trace = trace
         super().__init__(message or f"iteration cap exceeded after {len(trace)} fixes")
-
-
-class ParseError(LatticeError, ValueError):
-    """A lattice file could not be parsed."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from operator import mul
 from typing import Optional, Sequence
 
@@ -55,8 +56,22 @@ def _is_int(x) -> bool:
         return False
 
 
-def _as_frac_rows(rows) -> FracMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _frac_rows(rows, entry: str) -> FracMatrix:
+    """Rational outside input as rows of Fractions, the one rule for it:
+    ints and Fractions pass, and floats only when integral, as in
+    :func:`_int_rows`, since 0.1 is a binary approximation and not the
+    1/10 that was typed; any other entry (a string, None, NaN, inf, a
+    non-integral float) raises InvalidInputError naming ``entry`` and its
+    position (i,j)."""
+    rows = tuple(map(tuple, rows))
+    out = tuple(tuple(Fraction(x) if isinstance(x, Rational)
+                      else Fraction(int(x)) if _is_int(x) else None for x in row)
+                for row in rows)
+    bad = [(i, j) for i, row in enumerate(out) for j, x in enumerate(row) if x is None]
+    if bad:
+        i, j = bad[0]
+        raise InvalidInputError(f"{entry}: entry ({i},{j}) is {rows[i][j]!r}, not a rational")
+    return out
 
 
 def _scale(rows: FracMatrix) -> tuple[IntMatrix, int]:
@@ -73,6 +88,8 @@ class GramMatrix:
     is the least common denominator of the entries and G = A / den, so
     gcd(content(A), den) = 1 and equal forms store equal pairs. Rational
     entries (:attr:`rows`, indexing, :meth:`diagonal`) are built on demand.
+    Input entries follow the rational input rule of :func:`_frac_rows`:
+    ints and Fractions, and floats only when integral.
     Symmetry is validated at construction; positive definiteness is a
     property of most operations' preconditions and is checked on demand
     (see :func:`first_nonpositive_pivot`). Instances are immutable and
@@ -87,7 +104,7 @@ class GramMatrix:
     __slots__ = ("n", "_int", "_view", "_table")
 
     def __init__(self, rows):
-        a, den = _scale(_as_frac_rows(rows))
+        a, den = _scale(_frac_rows(rows, "GramMatrix"))
         n = len(a)
         if n == 0 or any(len(r) != n for r in a):
             raise DimensionMismatchError("Gram matrix must be square and non-empty")
@@ -145,12 +162,13 @@ class GramMatrix:
 
 
 class EmbeddedBasis:
-    """Rational d x n column matrix of n independent basis vectors in R^d."""
+    """Rational d x n column matrix of n independent basis vectors in R^d;
+    entries as in :func:`_frac_rows`."""
 
     __slots__ = ("ambient_dim", "rank", "matrix")
 
     def __init__(self, matrix):
-        rows = _as_frac_rows(matrix)
+        rows = _frac_rows(matrix, "EmbeddedBasis")
         d = len(rows)
         if d == 0:
             raise DimensionMismatchError("empty embedded basis")
@@ -202,7 +220,7 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
     Returns (rank, p): p is the last pivot, signed by the row swaps, so a
     square matrix of full rank has determinant p (and the 0 x 0 one has 1).
     """
-    a = [list(map(int, row)) for row in m]
+    a = [list(row) for row in m]
     rows, cols = len(a), len(a[0]) if a else 0
     rank, prev, sign = 0, 1, 1
     for c in range(cols):
@@ -226,24 +244,28 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def int_determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatchError("determinant needs a square matrix")
+    """Exact determinant of a square integer matrix (entries as in
+    :func:`_int_rows`) by Bareiss elimination."""
+    m = _int_rows(m, len(m), "int_determinant")
     rank, p = _bareiss(m)
-    return p if rank == n else 0
+    return p if rank == len(m) else 0
 
 
 def determinant(m) -> Fraction:
-    """Exact determinant of a square rational matrix: that of its scaled
-    integer matrix A = den M (see :func:`_scale`), over den^n."""
-    a, den = _scale(_as_frac_rows(m))
+    """Exact determinant of a square rational matrix (entries as in
+    :func:`_frac_rows`): that of its scaled integer matrix A = den M (see
+    :func:`_scale`), over den^n."""
+    a, den = _scale(_frac_rows(m, "determinant"))
+    if any(len(r) != len(a) for r in a):
+        raise DimensionMismatchError("determinant: needs a square matrix")
     return Fraction(int_determinant(a), den ** len(a))
 
 
 def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by Bareiss elimination."""
-    return _bareiss(m)[0]
+    """Rank of an integer matrix (entries as in :func:`_int_rows`) by
+    Bareiss elimination."""
+    m = tuple(map(tuple, m))
+    return _bareiss(_int_rows(m, len(m[0]) if m else 0, "int_matrix_rank"))[0]
 
 
 # ---------------------------------------------------------------------------

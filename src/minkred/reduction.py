@@ -50,6 +50,7 @@ from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
+    _frac_rows,
     apply_transform,
     evaluate_form,
     identity_matrix,
@@ -243,8 +244,9 @@ def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
 
 def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
     """Exact-rational LLL (integral Gram variant); preprocessing and
-    comparison baseline. iterations counts swaps."""
-    delta = Fraction(delta)
+    comparison baseline. iterations counts swaps. delta follows the
+    rational input rule of :func:`exactlin._frac_rows`."""
+    ((delta,),) = _frac_rows(((delta,),), "lll_reduce")
     if not (F(1, 4) < delta <= 1):
         raise InvalidInputError(f"lll_reduce: delta must satisfy 1/4 < delta <= 1, got {delta}")
     t, swaps = lll_transform(g.scaled()[0], delta)[:2]

@@ -221,6 +221,13 @@ class TestDeterminant:
         # the 0 x 0 minor, which cofactors of a 1 x 1 matrix need
         assert int_determinant([]) == 1
 
+    @pytest.mark.parametrize("name, det", [
+        ("determinant", determinant), ("int_determinant", int_determinant)
+    ])
+    def test_non_square_is_rejected_by_name(self, name, det):
+        with pytest.raises(DimensionMismatchError, match=rf"^{name}: "):
+            det([[1, 2]])
+
     def test_rational_entries(self):
         m = [[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]
         assert determinant(m) == frac_det_gauss(m) == F(1, 10) - F(1, 12)

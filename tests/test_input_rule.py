@@ -1,9 +1,12 @@
-"""One rule for integer-coordinate input, at every entry point that takes it.
+"""One rule for integer-coordinate input and one for rational input, at
+every entry point that takes them.
 
-Ints, integral Fractions and integral floats pass as plain ints; any other
-entry raises InvalidInputError (NotUnimodularError, a subclass, for
-apply_transform) naming the entry point and the position (i,j). Every
-rejection of outside input is a LatticeError.
+Integer coordinates: ints, integral Fractions and integral floats pass as
+plain ints; any other entry raises InvalidInputError (NotUnimodularError,
+a subclass, for apply_transform) naming the entry point and the position
+(i,j). Rationals: ints and Fractions pass, floats only when integral; any
+other entry raises InvalidInputError the same way. Every rejection of
+outside input is a LatticeError.
 """
 
 from fractions import Fraction as F
@@ -19,7 +22,15 @@ from minkred.enumeration import (
     is_primitive_system,
 )
 from minkred.errors import InvalidInputError, LatticeError, NotUnimodularError
-from minkred.exactlin import apply_transform, evaluate_form
+from minkred.exactlin import (
+    EmbeddedBasis,
+    GramMatrix,
+    apply_transform,
+    determinant,
+    evaluate_form,
+    int_determinant,
+    int_matrix_rank,
+)
 from minkred.reduction import lll_reduce
 
 A2 = named_lattice("A2")
@@ -32,6 +43,8 @@ ENTRIES = {
     "is_primitive_system": (is_primitive_system, [[1, 2], [0, 1]]),
     "complete_to_basis": (lambda rows: complete_to_basis(rows, 2), [[3, 2]]),
     "coset_minima": (lambda rows: coset_minima(A2, rows[0]), [[1, 3]]),
+    "int_determinant": (int_determinant, [[2, 1], [1, 3]]),
+    "int_matrix_rank": (int_matrix_rank, [[1, 2], [3, 4]]),
 }
 
 
@@ -61,8 +74,53 @@ def test_integral_fractions_and_floats_pass_as_ints(name, kind):
     ("is_primitive_system", lambda: is_primitive_system([[1.5, 0]])),
     ("complete_to_basis", lambda: complete_to_basis([[F(1, 2), 1]], 2)),
     ("evaluate_form", lambda: evaluate_form(A2, [F(1, 2), 1])),
+    ("int_determinant", lambda: int_determinant([[1.5]])),
+    ("int_matrix_rank", lambda: int_matrix_rank([[0.5, 0], [0, 1]])),
 ])
 def test_formerly_truncated_inputs_raise(name, call):
+    with pytest.raises(InvalidInputError, match=rf"^{name}: entry \(0,0\)"):
+        call()
+
+
+# entry point: (call on rows of rationals, valid rows of ints and Fractions)
+RATIONAL_ENTRIES = {
+    "GramMatrix": (GramMatrix, [[2, F(1, 2)], [F(1, 2), 3]]),
+    "EmbeddedBasis": (EmbeddedBasis, [[1, F(1, 3)], [0, 2], [F(1, 2), 1]]),
+    "determinant": (determinant, [[F(1, 2), 1], [1, 3]]),
+    "enumerate_short_vectors": (lambda rows: enumerate_short_vectors(A2, rows[0][0]), [[3]]),
+    "lll_reduce": (lambda rows: lll_reduce(A2, rows[0][0]), [[1]]),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [0.1, 2.5, "a", "1/2", None, float("nan"), float("inf")], ids=repr
+)
+@pytest.mark.parametrize("name", RATIONAL_ENTRIES)
+def test_non_rational_entry_is_rejected_by_name_and_position(name, bad):
+    call, rows = RATIONAL_ENTRIES[name]
+    rows = [list(row) for row in rows]
+    i, j = len(rows) - 1, len(rows[-1]) - 1
+    rows[i][j] = bad
+    with pytest.raises(InvalidInputError, match=rf"^{name}: entry \({i},{j}\)"):
+        call(rows)
+
+
+@pytest.mark.parametrize("kind", [F, float])
+@pytest.mark.parametrize("name", RATIONAL_ENTRIES)
+def test_fractions_and_integral_floats_pass(name, kind):
+    call, rows = RATIONAL_ENTRIES[name]
+    converted = [[kind(x) if x == int(x) else x for x in row] for row in rows]
+    assert call(converted) == call(rows)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("GramMatrix", lambda: GramMatrix([[0.1]])),
+    ("GramMatrix", lambda: GramMatrix([["a"]])),
+    ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, "x")),
+    ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, None)),
+    ("lll_reduce", lambda: lll_reduce(A2, "x")),
+])
+def test_formerly_escaping_rationals_raise(name, call):
     with pytest.raises(InvalidInputError, match=rf"^{name}: entry \(0,0\)"):
         call()
 
