@@ -15,12 +15,7 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .enumeration import lattice_minimum
-from .errors import (
-    DependentVectorsError,
-    DimensionMismatchError,
-    InvalidInputError,
-    NotReducedError,
-)
+from .errors import DependentVectorsError, DimensionMismatchError, NotReducedError
 from .exactlin import GramMatrix, _int_rows, int_determinant
 from .reduction import is_minkowski_reduced_table
 from .tables import (
@@ -41,8 +36,10 @@ class CenteringData(NamedTuple):
 
 
 class TheoremReport(NamedTuple):
+    """One reduced form's largest |coordinate| over its minimum vectors,
+    the bound of its dimension, and every minimum vector past that bound."""
+
     dimension: int
-    trials: int
     max_abs_coordinate_seen: int
     bound: int
     counterexamples: tuple
@@ -113,24 +110,5 @@ def check_theorem_bound(g: GramMatrix) -> TheoremReport:
         max_abs = max(max_abs, m)
         if m > bound:
             bad.append(v)
-    return TheoremReport(n, 1, max_abs, bound, tuple(bad))
+    return TheoremReport(n, max_abs, bound, tuple(bad))
 
-
-def merge_theorem_reports(reports: Sequence[TheoremReport]) -> TheoremReport:
-    """Order-independent aggregation of per-instance reports."""
-    if not reports:
-        raise InvalidInputError("merge_theorem_reports: no reports to merge")
-    dims = {r.dimension for r in reports}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"reports of mixed dimensions {sorted(dims)}")
-    bound = reports[0].bound
-    bad = []
-    for r in reports:
-        bad.extend(r.counterexamples)
-    return TheoremReport(
-        reports[0].dimension,
-        sum(r.trials for r in reports),
-        max(r.max_abs_coordinate_seen for r in reports),
-        bound,
-        tuple(bad),
-    )

@@ -16,6 +16,9 @@ witnesses are mapped back, which changes nothing observable. The view
 keeps the d and lambda that LLL ends with, so no search recomputes them.
 The core has no modes: every search reads one plain ball.
 
+Every public vector list leaves the view through _by_exact_norm: its
+entry point picks, in integers, the leaves (coords, q) it returns, and
+only those are mapped back, sorted by (q, v) and given Fraction norms.
 A shortest vector under a side condition (tail gcd 1, primitive extension,
 independence) is read from one lazy stream, _in_norm_order: Fincke-Pohst
 balls of doubling radius in Schnorr-Euchner norm order, each norm layer
@@ -198,10 +201,11 @@ def _in_norm_order(view: _ReducedView, cap):
 
 
 def _by_exact_norm(view: _ReducedView, raw):
-    """_enumerate_core's output as (v, Q(v)) with v in the original
-    coordinates, sorted by (Q(v), v)."""
-    entries = sorted((F(q, view.den), _map_back(view, coords)) for coords, q in raw)
-    return tuple((v, q) for q, v in entries)
+    """The leaves (coords, q) a caller returns, as (v, Q(v)) with v mapped
+    back once, sorted by (Q(v), v): by the integer q, as den > 0, and the
+    Fractions Q(v) = q / den are built after the sort."""
+    entries = sorted((q, _map_back(view, coords)) for coords, q in raw)
+    return tuple((v, F(q, view.den)) for q, v in entries)
 
 
 def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
@@ -223,12 +227,12 @@ def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
 
 def lattice_minimum(g: GramMatrix):
     """(lambda^2, minima): the exact nonzero minimum of Q and every
-    attaining vector up to sign."""
+    attaining vector up to sign, from one ball of the least view diagonal."""
     view = _reduced_view(g)
-    radius = min(view.a_red[i][i] for i in range(len(view.a_red)))
-    q, layer = next(groupby(_in_norm_order(view, lambda: radius), key=itemgetter(0)))
-    lam = F(q, view.den)
-    return lam, ShortVectorList(lam, tuple((v, lam) for v in sorted(v for _, v in layer)))
+    raw = _enumerate_core(view, min(view.a_red[i][i] for i in range(len(view.a_red))), 1)
+    least = min(q for _, q in raw)
+    minima = _by_exact_norm(view, [leaf for leaf in raw if leaf[1] == least])
+    return minima[0][1], ShortVectorList(minima[0][1], minima)
 
 
 def successive_minima(g: GramMatrix) -> SuccessiveMinima:
@@ -376,20 +380,16 @@ def _coset_bins(view: _ReducedView):
     return list(bins.values())
 
 
-def _coset_layers(g: GramMatrix):
-    """{class: minima}: the bins of :func:`_coset_bins`, keyed by parity in
-    g's coordinates and mapped back as (v, Q(v)) sorted by (Q(v), v)."""
-    view = _reduced_view(g)
-    layers = (_by_exact_norm(view, raw) for raw in _coset_bins(view))
-    return {tuple(x & 1 for x in minima[0][0]): minima for minima in layers}
-
-
 def coset_minima(g: GramMatrix, parity: Sequence[int]):
     """Shortest vectors of the coset {v : v = parity mod 2} of L/2L, as
-    (min norm^2, +-representatives), from :func:`_coset_layers`. parity
-    is n integer coordinates, read mod 2, of a class other than zero."""
+    (min norm^2, +-representatives). parity is n integer coordinates, read
+    mod 2, of a class other than zero: the bin of :func:`_coset_bins` whose
+    first leaf y has T y = parity mod 2, the one bin mapped back."""
     par = tuple(p % 2 for p in _int_rows((parity,), g.n, "coset_minima")[0])
     if not any(par):
         raise InvalidInputError(f"coset_minima: parity class {par} must be nonzero")
-    minima = _coset_layers(g)[par]
+    view = _reduced_view(g)
+    leaves = next(leaves for leaves in _coset_bins(view)
+                  if tuple(x & 1 for x in mat_vec(view.transform, leaves[0][0])) == par)
+    minima = _by_exact_norm(view, leaves)
     return minima[0][1], tuple(v for v, _ in minima)

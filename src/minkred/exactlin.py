@@ -204,11 +204,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b) -> tuple[tuple, ...]:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-
-
 def mat_vec(m, v) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in m)
 

@@ -51,11 +51,12 @@ from .exactlin import (
     IntMatrix,
     IntVector,
     _frac_rows,
-    apply_transform,
+    _int_rows,
     evaluate_form,
     identity_matrix,
     integral_gram_schmidt,
     mat_vec,
+    transform_gram_int,
 )
 from .tables import tail_gcd_index, tammela_reduction_candidates
 
@@ -202,8 +203,11 @@ def is_minkowski_reduced_definitional(g: GramMatrix) -> Union[bool, Violation]:
 
 
 def _report(g: GramMatrix, t, iterations, fixes) -> ReductionReport:
-    """The report for the basis whose columns are the columns of t."""
-    return ReductionReport(apply_transform(g, t), t, iterations, fixes)
+    """The report for the basis of t's columns, built unimodular here, so
+    T^T A T keeps A's content, coprime to den: no lowest-terms check."""
+    a, den = g.scaled()
+    reduced = GramMatrix._from_scaled(transform_gram_int(a, t), den)
+    return ReductionReport(reduced, t, iterations, fixes)
 
 
 def minkowski_reduce(g: GramMatrix) -> ReductionReport:
@@ -261,8 +265,12 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     strictly undercut yields a witness (any completion works). A child
     folds its vector into its parent's completion; complete_to_basis
     builds the witness. Finding a witness proves the input basis is not
-    Hermite-reduced; exhausting the budget proves nothing.
+    Hermite-reduced; exhausting the budget, an int >= 0 (the rule of
+    :func:`exactlin._int_rows`), proves nothing.
     """
+    ((budget,),) = _int_rows(((budget,),), 1, "hermite_witness_search")
+    if budget < 0:
+        raise InvalidInputError(f"hermite_witness_search: budget must be >= 0, got {budget}")
     n = g.n
     a = g.scaled()[0]
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled

@@ -16,6 +16,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import UnsupportedDimensionError
+from .exactlin import _int_rows
 
 F = Fraction
 
@@ -129,11 +130,14 @@ CENTERING_CLASSES: tuple[CenteringClass, ...] = (
 )
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(n, entry: str) -> int:
+    """n as an int (exactlin._int_rows, naming ``entry``) that the tables cover."""
+    ((n,),) = _int_rows(((n,),), 1, entry)
     if not (MIN_TABLE_DIM <= n <= MAX_TABLE_DIM):
         raise UnsupportedDimensionError(
             f"tables cover dimensions {MIN_TABLE_DIM}..{MAX_TABLE_DIM}, got {n}"
         )
+    return n
 
 
 def canonical_sign(coords):
@@ -192,7 +196,7 @@ def _expand_columns(columns, n):
 def tammela_reduction_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
     """Expanded reduction-condition candidates for dimension n (2..6),
     sorted by (pivot, source column norm, coordinates)."""
-    _check_dim(n)
+    n = _check_dim(n, "tammela_reduction_candidates")
     return _expand_columns(REDUCTION_COLUMNS, n)
 
 
@@ -200,7 +204,7 @@ def tammela_reduction_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
 def relevant_vector_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
     """Expanded relevant-vector candidates for dimension n (2..6); a
     superset of the reduction candidates. The m-bearing column is excluded."""
-    _check_dim(n)
+    n = _check_dim(n, "relevant_vector_candidates")
     return _expand_columns(REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS, n)
 
 
@@ -212,7 +216,7 @@ def relevant_abs_patterns(n: int) -> frozenset:
     Read from the columns, not their expansion: a column with at most n
     nonzero entries gives the pattern of its n largest entries, and every
     column holds a 1, so some sign image of it has gcd 1."""
-    _check_dim(n)
+    n = _check_dim(n, "relevant_abs_patterns")
     return frozenset(
         tuple(sorted(c))[-n:]
         for c in REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS
@@ -222,7 +226,7 @@ def relevant_abs_patterns(n: int) -> frozenset:
 
 def centering_classes(n: int) -> tuple[CenteringClass, ...]:
     """Admissible-centering classes of dimension n (2..6)."""
-    _check_dim(n)
+    n = _check_dim(n, "centering_classes")
     return tuple(c for c in CENTERING_CLASSES if c.dimension == n)
 
 
@@ -230,7 +234,7 @@ def max_theorem_bound(n: int) -> int:
     """Largest denominator among relevant rows of the n-dimensional
     centering classes: the coordinate bound the theorem asserts for
     minimum vectors in a Minkowski-reduced basis."""
-    _check_dim(n)
+    n = _check_dim(n, "max_theorem_bound")
     return max(
         x.denominator for c in centering_classes(n) for row in c.relevant_rows for x in row
     )
@@ -276,7 +280,7 @@ def tail_gcd_index(coords) -> Optional[int]:
 def dump_tables(n: int) -> str:
     """Deterministic text listing of both expanded candidate sets, for
     diffing against the golden copy under docs/."""
-    _check_dim(n)
+    n = _check_dim(n, "dump_tables")
     lines = [f"dimension {n}"]
     red = tammela_reduction_candidates(n)
     rel = relevant_vector_candidates(n)

@@ -5,7 +5,9 @@ coset of L/2L. One Fincke-Pohst ball, binned in integers by parity in the
 LLL view's coordinates, holds the minima of all 2^n - 1 nonzero cosets
 (enumeration._coset_bins). Its radius is the largest norm of a +-1 class
 member signed greedily, priced by one walk over parity prefixes. Tie
-cosets contribute nothing, and only tie-free minima are mapped back.
+cosets contribute nothing: the one leaf of each tie-free bin goes through
+enumeration._by_exact_norm, the one path by which a vector list leaves the
+LLL view, and no other leaf is mapped back.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import _coset_bins, _map_back, _reduced_view, lattice_minimum
+from .enumeration import _by_exact_norm, _coset_bins, _reduced_view
 from .errors import NotReducedError, UnsupportedDimensionError
 from .exactlin import GramMatrix, IntVector
 from .reduction import is_minkowski_reduced_table
 from .tables import relevant_abs_patterns
-
-F = Fraction
 
 MAX_COSET_DIM = 9
 
@@ -58,15 +58,8 @@ def relevant_vectors(g: GramMatrix) -> RelevantVectorSet:
             f"coset enumeration supported up to dimension {MAX_COSET_DIM}, got {g.n}"
         )
     view = _reduced_view(g)
-    found = sorted((q, _map_back(view, y)) for (y, q), *ties in _coset_bins(view) if not ties)
-    return RelevantVectorSet(tuple(v for _, v in found), tuple(F(q, view.den) for q, _ in found))
-
-
-def certify_minima_relevant(g: GramMatrix) -> bool:
-    """Check that every minimum vector is a relevant vector."""
-    _, minima = lattice_minimum(g)
-    rel = set(relevant_vectors(g).vectors)
-    return all(v in rel for v, _ in minima.vectors)
+    found = _by_exact_norm(view, [leaf for leaf, *ties in _coset_bins(view) if not ties])
+    return RelevantVectorSet(tuple(v for v, _ in found), tuple(q for _, q in found))
 
 
 def check_table4_membership(g: GramMatrix) -> Table4Report:

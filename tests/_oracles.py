@@ -84,6 +84,12 @@ def scaled_int(rows):
     return [[int(Fraction(x) * den) for x in row] for row in rows], den
 
 
+def mat_product(a, b):
+    """The matrix product a b by index loops, as a tuple of row tuples."""
+    return tuple(tuple(sum(row[r] * b[r][j] for r in range(len(b))) for j in range(len(b[0])))
+                 for row in a)
+
+
 def eval_q(rows, x):
     """x^T G x via the bilinear expansion, independent of the library."""
     n = len(rows)

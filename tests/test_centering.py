@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkred.centering import (
-    centering_data,
-    check_theorem_bound,
-    classify_centering,
-    merge_theorem_reports,
-)
+from minkred.centering import centering_data, check_theorem_bound, classify_centering
 from minkred.corpus import E8_STAR_COORDS, named_lattice
 from minkred.errors import DependentVectorsError, DimensionMismatchError, NotReducedError
 from minkred.exactlin import GramMatrix, identity_matrix, int_determinant
@@ -228,23 +223,3 @@ class TestTheoremBound:
         rep = check_theorem_bound(g)
         assert (rep.max_abs_coordinate_seen, rep.bound) == (seen, bound)
         assert not rep.counterexamples
-
-    def test_merge(self):
-        a = check_theorem_bound(GramMatrix(identity_matrix(3)))
-        b = check_theorem_bound(named_lattice("A3"))
-        merged = merge_theorem_reports([a, b])
-        assert merged.trials == 2
-        assert merged.bound == 1
-        assert merged.max_abs_coordinate_seen == max(
-            a.max_abs_coordinate_seen, b.max_abs_coordinate_seen
-        )
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_theorem_reports([])
-
-    def test_merge_rejects_mixed_dimensions(self):
-        a = check_theorem_bound(GramMatrix(identity_matrix(3)))
-        b = check_theorem_bound(GramMatrix(identity_matrix(4)))
-        with pytest.raises(DimensionMismatchError):
-            merge_theorem_reports([a, b])

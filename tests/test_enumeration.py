@@ -16,7 +16,6 @@ from minkred.corpus import (
 )
 from minkred.enumeration import (
     _completion,
-    _coset_layers,
     _in_norm_order,
     _reduced_view,
     _signed_radius,
@@ -40,7 +39,6 @@ from minkred.exactlin import (
     identity_matrix,
     int_determinant,
     int_matrix_rank,
-    mat_mul,
     mat_vec,
 )
 from minkred.reduction import greedy_minkowski_basis, minkowski_reduce
@@ -58,6 +56,7 @@ from _oracles import (
     eval_q,
     frac_det_gauss,
     gram_inverse,
+    mat_product,
     minor_gcd,
     pivot_first,
     signed_representative,
@@ -391,7 +390,7 @@ class TestPrimitivity:
             c, tail = _completion(rows, n)
             assert abs(frac_det_gauss(c)) == 1
             assert [tuple(row[j] for row in c) for j in range(k)] == rows
-            assert mat_mul(tail, c) == identity_matrix(n)[k:]
+            assert mat_product(tail, c) == identity_matrix(n)[k:]
             for _ in range(6 if k < n else 0):
                 v = tuple(rng.randint(-3, 3) for _ in range(n))
                 assert (gcd(*mat_vec(tail, v)) == 1) is (minor_gcd(rows + [v]) == 1)
@@ -412,7 +411,7 @@ class TestIncrementalCompletion:
             assert carried == _completion(rows, n)
             c, tail = carried
             k = len(rows)
-            assert mat_mul(tail, c) == identity_matrix(n)[k:]
+            assert mat_product(tail, c) == identity_matrix(n)[k:]
             for _ in range(6 if k < n else 0):
                 v = tuple(rng.randint(-3, 3) for _ in range(n))
                 primitive = minor_gcd(rows + [v]) == 1
@@ -474,10 +473,26 @@ class TestCosetMinima:
         rng = random.Random(seed + 580)
         n = 2 + seed % 5
         g = skewed_orthogonal_gram(rng, n)[0] if seed % 2 else random_generic_gram(rng, n)
-        layers = _coset_layers(g)
-        assert set(layers) == set(product((0, 1), repeat=n)) - {(0,) * n}
-        for key, minima in layers.items():
-            assert all(tuple(x % 2 for x in v) == key for v, _ in minima)
+        for key in product((0, 1), repeat=n):
+            if any(key):
+                lam, reps = coset_minima(g, key)
+                assert reps and all(tuple(x % 2 for x in v) == key for v in reps)
+                assert all(evaluate_form(g, v) == lam for v in reps)
+
+    def test_maps_back_only_its_own_class(self, monkeypatch):
+        calls = []
+        map_back = enumeration._map_back
+
+        def counted(view, coords):
+            calls.append(coords)
+            return map_back(view, coords)
+
+        monkeypatch.setattr(enumeration, "_map_back", counted)
+        for g in (GramMatrix(identity_matrix(4)), named_lattice("E6"), random_pd_gram(random.Random(11), 5)):
+            for parity in product((0, 1), repeat=g.n):
+                if any(parity):
+                    calls.clear()
+                    assert len(coset_minima(g, parity)[1]) == len(calls)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_signed_representative_bounds_its_coset(self, seed):

@@ -28,7 +28,6 @@ from minkred.exactlin import (
     integral_gram_schmidt,
     is_positive_definite,
     ldl_decompose,
-    mat_mul,
     mat_vec,
     transform_gram_int,
 )
@@ -349,8 +348,8 @@ def _random_matrix(rng, rows, cols, rational=False):
 
 
 class TestIntegerHelpers:
-    """mat_vec, mat_mul and transform_gram_int against naive index loops,
-    on int and on Fraction entries."""
+    """mat_vec and transform_gram_int against naive index loops, on int and
+    on Fraction entries."""
 
     @pytest.mark.parametrize("rational", [False, True])
     @pytest.mark.parametrize("seed", range(6))
@@ -361,7 +360,8 @@ class TestIntegerHelpers:
         b = _random_matrix(rng, k, m, rational)
         v = [_random_entry(rng, rational) for _ in range(k)]
         assert mat_vec(a, v) == tuple(sum(a[i][j] * v[j] for j in range(k)) for i in range(n))
-        product = mat_mul(a, b)
+        # a matrix product, column by column, is mat_vec on b's columns
+        product = tuple(zip(*(mat_vec(a, col) for col in zip(*b))))
         assert len(product) == n and all(len(row) == m for row in product)
         for i in range(n):
             for j in range(m):

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minkred.centering import centering_data, merge_theorem_reports
+from minkred.centering import centering_data
 from minkred.corpus import named_lattice
 from minkred.enumeration import (
     complete_to_basis,
@@ -21,7 +21,12 @@ from minkred.enumeration import (
     enumerate_short_vectors,
     is_primitive_system,
 )
-from minkred.errors import InvalidInputError, LatticeError, NotUnimodularError
+from minkred.errors import (
+    InvalidInputError,
+    LatticeError,
+    NotUnimodularError,
+    UnsupportedDimensionError,
+)
 from minkred.exactlin import (
     EmbeddedBasis,
     GramMatrix,
@@ -31,7 +36,15 @@ from minkred.exactlin import (
     int_determinant,
     int_matrix_rank,
 )
-from minkred.reduction import lll_reduce
+from minkred.reduction import hermite_witness_search, lll_reduce
+from minkred.tables import (
+    centering_classes,
+    dump_tables,
+    max_theorem_bound,
+    relevant_abs_patterns,
+    relevant_vector_candidates,
+    tammela_reduction_candidates,
+)
 
 A2 = named_lattice("A2")
 
@@ -119,6 +132,10 @@ def test_fractions_and_integral_floats_pass(name, kind):
     ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, "x")),
     ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, None)),
     ("lll_reduce", lambda: lll_reduce(A2, "x")),
+    # integer inputs that escaped the rule the same way
+    ("hermite_witness_search", lambda: hermite_witness_search(A2, "x")),
+    ("hermite_witness_search", lambda: hermite_witness_search(A2, None)),
+    ("hermite_witness_search", lambda: hermite_witness_search(A2, 1.5)),
 ])
 def test_formerly_escaping_rationals_raise(name, call):
     with pytest.raises(InvalidInputError, match=rf"^{name}: entry \(0,0\)"):
@@ -129,9 +146,45 @@ def test_formerly_escaping_rationals_raise(name, call):
     ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, 0)),
     ("coset_minima", lambda: coset_minima(A2, [2, 0])),
     ("lll_reduce", lambda: lll_reduce(A2, F(1, 4))),
-    ("merge_theorem_reports", lambda: merge_theorem_reports([])),
+    ("hermite_witness_search", lambda: hermite_witness_search(A2, -1)),
 ])
 def test_domain_errors_are_lattice_errors(name, call):
     with pytest.raises(LatticeError, match=rf"^{name}: ") as info:
         call()
     assert isinstance(info.value, InvalidInputError) and isinstance(info.value, ValueError)
+
+
+def test_integral_budget_passes_as_int():
+    g = named_lattice("D4")
+    assert repr(hermite_witness_search(g, 2000.0)) == repr(hermite_witness_search(g, 2000))
+
+
+# the table dimension of every table entry point: n -> its result
+TABLE_ENTRIES = {
+    "tammela_reduction_candidates": tammela_reduction_candidates,
+    "relevant_vector_candidates": relevant_vector_candidates,
+    "relevant_abs_patterns": relevant_abs_patterns,
+    "centering_classes": centering_classes,
+    "max_theorem_bound": max_theorem_bound,
+    "dump_tables": dump_tables,
+}
+
+
+@pytest.mark.parametrize("bad", [3.5, F(7, 2), "3", None], ids=repr)
+@pytest.mark.parametrize("name", TABLE_ENTRIES)
+def test_table_dimension_follows_the_integer_rule(name, bad):
+    with pytest.raises(InvalidInputError, match=rf"^{name}: entry \(0,0\)"):
+        TABLE_ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize("kind", [F, float])
+@pytest.mark.parametrize("name", TABLE_ENTRIES)
+def test_integral_table_dimension_passes(name, kind):
+    assert TABLE_ENTRIES[name](kind(3)) == TABLE_ENTRIES[name](3)
+
+
+@pytest.mark.parametrize("n", [1, 7, 7.0])
+@pytest.mark.parametrize("name", TABLE_ENTRIES)
+def test_table_dimension_out_of_range(name, n):
+    with pytest.raises(UnsupportedDimensionError, match="tables cover dimensions 2..6"):
+        TABLE_ENTRIES[name](n)

@@ -7,15 +7,11 @@ import pytest
 from minkred import enumeration, voronoi
 from minkred.corpus import named_lattice
 from minkred.errors import NotReducedError, UnsupportedDimensionError
-from minkred.enumeration import _coset_layers, coset_minima
+from minkred.enumeration import _coset_bins, _reduced_view, coset_minima, lattice_minimum
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, mat_vec
 from minkred.reduction import minkowski_reduce
 from minkred.tables import canonical_sign
-from minkred.voronoi import (
-    certify_minima_relevant,
-    check_table4_membership,
-    relevant_vectors,
-)
+from minkred.voronoi import check_table4_membership, relevant_vectors
 
 from _generators import (
     random_generic_gram,
@@ -173,9 +169,13 @@ class TestRelevantVectors:
         # in the skewed form's coordinates.
         base = named_lattice(name)
         n = base.n
-        raw = _coset_layers(base)
-        tops = [p for p, minima in raw.items() if minima[0][1] == top]
-        assert max(minima[0][1] for minima in raw.values()) == top and len(tops) == classes
+        # each class's minimum, keyed by its parity T y mod 2 in base's coordinates
+        view = _reduced_view(base)
+        minima = {tuple(x & 1 for x in mat_vec(view.transform, raw[0][0])): F(raw[0][1], view.den)
+                  for raw in _coset_bins(view)}
+        tops = [p for p, lam in minima.items() if lam == top]
+        assert len(minima) == 2**n - 1
+        assert max(minima.values()) == top and len(tops) == classes
         oracle = {p: brute_coset_minima(base.rows, p, top) for p in tops}
         assert all(len(reps) == pairs for _, reps in oracle.values())
         rng = random.Random(n + 40)
@@ -198,7 +198,6 @@ class TestRelevantVectors:
             return map_back(view, coords)
 
         monkeypatch.setattr(enumeration, "_map_back", counted)
-        monkeypatch.setattr(voronoi, "_map_back", counted, raising=False)
         for g in (GramMatrix(identity_matrix(4)), named_lattice("E6"), random_pd_gram(random.Random(11), 5)):
             calls.clear()
             assert relevant_vectors(g).pair_count() == len(calls)
@@ -214,6 +213,12 @@ class TestRelevantVectors:
         moved = apply_transform(g, random_unimodular(random.Random(9), 9, coeff=2))
         counts = [relevant_vectors(h).pair_count() for h in (g, named_lattice("example9-mnh"), moved)]
         assert counts == [313] * 3
+
+
+def certify_minima_relevant(g):
+    """Every minimum vector of g is a relevant vector."""
+    rel = set(relevant_vectors(g).vectors)
+    return all(v in rel for v, _ in lattice_minimum(g)[1].vectors)
 
 
 class TestCertifyMinimaRelevant:
