@@ -4,23 +4,19 @@ enumeration, Dirichlet-Voronoi relevant vectors, admissible centerings and
 the coordinate-bound verifier; every decision runs on exact integers."""
 
 from .exactlin import (
-    EmbeddedBasis,
     GramMatrix,
     apply_transform,
     determinant,
     evaluate_form,
+    first_nonpositive_pivot,
     gram_from_basis,
-    is_positive_definite,
-    ldl_decompose,
 )
 
 __all__ = [
-    "EmbeddedBasis",
     "GramMatrix",
     "apply_transform",
     "determinant",
     "evaluate_form",
+    "first_nonpositive_pivot",
     "gram_from_basis",
-    "is_positive_definite",
-    "ldl_decompose",
 ]

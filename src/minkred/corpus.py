@@ -1,6 +1,6 @@
 """Fixture lattices: the registry of named test lattices.
 
-The 9-dimensional worked example lives here: the 12x9 embedded basis, its
+The 9-dimensional worked example lives here: its 12x9 basis matrix, its
 Gram matrix, and the Minkowski-reduced-but-not-Hermite-reduced companion
 obtained by swapping in the two starred vectors.
 """
@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import EmbeddedBasis, GramMatrix, apply_transform, gram_from_basis
+from .errors import InvalidInputError
+from .exactlin import GramMatrix, apply_transform, gram_from_basis
 
 F = Fraction
 
@@ -40,10 +41,9 @@ E8_STAR_COORDS = (-2, -1, -1, -1, -1, -1, -1, 2, 3)
 E9_STAR_COORDS = (-1, 0, 0, 0, 0, 0, 0, 1, 1)
 
 
-@lru_cache(maxsize=None)
-def example9_embedded() -> EmbeddedBasis:
-    """The 12x9 rational basis matrix of the 9-dimensional example."""
-    return EmbeddedBasis(_EXAMPLE9_MATRIX)
+def example9_embedded():
+    """The 12x9 rational matrix whose columns are the example's basis."""
+    return _EXAMPLE9_MATRIX
 
 
 @lru_cache(maxsize=None)
@@ -101,13 +101,20 @@ _D4_CENTERED_CUBIC = (
 )
 
 
-@lru_cache(maxsize=None)
 def named_lattice(name: str) -> GramMatrix:
-    """Gram matrix of a named test lattice.
+    """Gram matrix of a named test lattice, one GramMatrix per name.
 
     Registry: Z2..Z9, A2..A6, D3..D6, E6, D4-centered-cubic, example9,
-    example9-mnh.
+    example9-mnh. A name that is not a str raises InvalidInputError and
+    an unknown one KeyError.
     """
+    if not isinstance(name, str):
+        raise InvalidInputError(f"named_lattice: name {name!r} is not a str")
+    return _named_lattice(name)
+
+
+@lru_cache(maxsize=None)
+def _named_lattice(name: str) -> GramMatrix:
     if name.startswith("Z") and name[1:].isdigit():
         n = int(name[1:])
         if 1 <= n <= 9:
@@ -119,7 +126,7 @@ def named_lattice(name: str) -> GramMatrix:
     if name.startswith("D") and name[1:].isdigit():
         n = int(name[1:])
         if 3 <= n <= 6:
-            return gram_from_basis(EmbeddedBasis(_d_basis(n)))
+            return gram_from_basis(_d_basis(n))
     if name == "E6":
         return GramMatrix(_E6_GRAM)
     if name == "D4-centered-cubic":

@@ -378,18 +378,3 @@ def _coset_bins(view: _ReducedView):
         elif least and least[0][1] == q:
             least.append((coords, q))
     return list(bins.values())
-
-
-def coset_minima(g: GramMatrix, parity: Sequence[int]):
-    """Shortest vectors of the coset {v : v = parity mod 2} of L/2L, as
-    (min norm^2, +-representatives). parity is n integer coordinates, read
-    mod 2, of a class other than zero: the bin of :func:`_coset_bins` whose
-    first leaf y has T y = parity mod 2, the one bin mapped back."""
-    par = tuple(p % 2 for p in _int_rows((parity,), g.n, "coset_minima")[0])
-    if not any(par):
-        raise InvalidInputError(f"coset_minima: parity class {par} must be nonzero")
-    view = _reduced_view(g)
-    leaves = next(leaves for leaves in _coset_bins(view)
-                  if tuple(x & 1 for x in mat_vec(view.transform, leaves[0][0])) == par)
-    minima = _by_exact_norm(view, leaves)
-    return minima[0][1], tuple(v for v, _ in minima)

@@ -1,8 +1,9 @@
 """Exact rational linear algebra: quadratic forms, determinants, rank and
 unimodular basis changes, on one fraction-free elimination (Bareiss) and
-one triangular kernel, the integral Gram-Schmidt recurrence that also
-gives LDL (Cohen, A Course in Computational Algebraic Number Theory,
-2.2.6 and 2.6.3).
+one triangular kernel, the integral Gram-Schmidt recurrence, whose
+leading minors give the LDL pivots and decide positive definiteness
+(Cohen, A Course in Computational Algebraic Number Theory, 2.2.6 and
+2.6.3).
 
 No floating point anywhere; every comparison in this package that decides
 anything goes through Fraction or int arithmetic.
@@ -98,7 +99,8 @@ class GramMatrix:
     (``reduction.is_minkowski_reduced_table``). The caches belong to the
     instance; an equal GramMatrix computes its own. Positive definiteness
     is not cached: the integral Gram-Schmidt kernel decides it wherever
-    it runs (LLL, LDL, the table check), raising at the first bad pivot.
+    it runs (LLL, the table check, :func:`first_nonpositive_pivot`),
+    raising at the first bad pivot.
     """
 
     __slots__ = ("n", "_int", "_view", "_table")
@@ -159,42 +161,6 @@ class GramMatrix:
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
         return f"GramMatrix([{body}])"
-
-
-class EmbeddedBasis:
-    """Rational d x n column matrix of n independent basis vectors in R^d;
-    entries as in :func:`_frac_rows`."""
-
-    __slots__ = ("ambient_dim", "rank", "matrix")
-
-    def __init__(self, matrix):
-        rows = _frac_rows(matrix, "EmbeddedBasis")
-        d = len(rows)
-        if d == 0:
-            raise DimensionMismatchError("empty embedded basis")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows) or n == 0 or n > d:
-            raise DimensionMismatchError(
-                f"need d x n matrix with 1 <= n <= d, got {d} rows, widths vary or n > d"
-            )
-        object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddedBasis is immutable")
-
-    def column(self, j) -> tuple[Fraction, ...]:
-        return tuple(self.matrix[i][j] for i in range(self.ambient_dim))
-
-    def __eq__(self, other):
-        return isinstance(other, EmbeddedBasis) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"EmbeddedBasis(<{self.ambient_dim}x{self.rank}>)"
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +240,6 @@ def evaluate_form(g: GramMatrix, x: Sequence[int]) -> Fraction:
     return Fraction(sum(map(mul, x, mat_vec(a, x))), den)
 
 
-def ldl_decompose(g: GramMatrix) -> tuple[FracMatrix, tuple[Fraction, ...]]:
-    """Exact LDL^T of a positive definite form, read off the integral
-    Gram-Schmidt kernel of its scaled Gram (A, den).
-
-    Returns (L, D) with L unit lower triangular, L diag(D) L^T == G,
-    D[k] = d[k+1] / (d[k] den) and L[i][j] = lam[i][j] / d[j+1]. Raises
-    NotPositiveDefiniteError(k) at the first pivot D[k] <= 0.
-    """
-    a, den = g.scaled()
-    d, lam = integral_gram_schmidt(a)
-    n = g.n
-    L = tuple(
-        tuple(
-            Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(int(i == j))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return L, tuple(Fraction(d[k + 1], d[k] * den) for k in range(n))
-
-
 def integral_gram_schmidt(a: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Cohen's integral Gram-Schmidt quantities of an integer PD matrix.
 
@@ -339,16 +284,19 @@ def first_nonpositive_pivot(g: GramMatrix) -> Optional[int]:
     return None
 
 
-def is_positive_definite(g: GramMatrix) -> bool:
-    return first_nonpositive_pivot(g) is None
-
-
-def gram_from_basis(b: EmbeddedBasis) -> GramMatrix:
-    """Exact B^T B of an embedded basis; errors on dependent columns."""
-    cols = [b.column(j) for j in range(b.rank)]
+def gram_from_basis(matrix) -> GramMatrix:
+    """Exact B^T B of a rational d x n matrix B (entries as in
+    :func:`_frac_rows`) whose columns are n <= d independent vectors.
+    Raises DimensionMismatchError for an empty or ragged B or n > d, and
+    DependentVectorsError for dependent columns."""
+    rows = _frac_rows(matrix, "gram_from_basis")
+    n = len(rows[0]) if rows else 0
+    if n == 0 or n > len(rows) or any(len(r) != n for r in rows):
+        raise DimensionMismatchError("gram_from_basis: need a d x n matrix with 1 <= n <= d")
+    cols = tuple(zip(*rows))
     g = GramMatrix([[sum(map(mul, u, v)) for v in cols] for u in cols])
     if int_determinant(g.scaled()[0]) == 0:
-        raise DependentVectorsError("basis columns are linearly dependent")
+        raise DependentVectorsError("gram_from_basis: basis columns are linearly dependent")
     return g
 
 

@@ -131,7 +131,8 @@ CENTERING_CLASSES: tuple[CenteringClass, ...] = (
 
 
 def _check_dim(n, entry: str) -> int:
-    """n as an int (exactlin._int_rows, naming ``entry``) that the tables cover."""
+    """n as an int (exactlin._int_rows, naming ``entry``) that the tables
+    cover; every table entry point gates n here before any cache."""
     ((n,),) = _int_rows(((n,),), 1, entry)
     if not (MIN_TABLE_DIM <= n <= MAX_TABLE_DIM):
         raise UnsupportedDimensionError(
@@ -178,6 +179,7 @@ def _column_norm(column) -> int:
     return sum(x * x for x in column)
 
 
+@lru_cache(maxsize=None)
 def _expand_columns(columns, n):
     seen = {}
     order = {}
@@ -192,15 +194,12 @@ def _expand_columns(columns, n):
     return tuple(ranked)
 
 
-@lru_cache(maxsize=None)
 def tammela_reduction_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
     """Expanded reduction-condition candidates for dimension n (2..6),
     sorted by (pivot, source column norm, coordinates)."""
-    n = _check_dim(n, "tammela_reduction_candidates")
-    return _expand_columns(REDUCTION_COLUMNS, n)
+    return _expand_columns(REDUCTION_COLUMNS, _check_dim(n, "tammela_reduction_candidates"))
 
 
-@lru_cache(maxsize=None)
 def relevant_vector_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
     """Expanded relevant-vector candidates for dimension n (2..6); a
     superset of the reduction candidates. The m-bearing column is excluded."""
@@ -208,7 +207,6 @@ def relevant_vector_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
     return _expand_columns(REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS, n)
 
 
-@lru_cache(maxsize=None)
 def relevant_abs_patterns(n: int) -> frozenset:
     """Sorted absolute-coordinate tuples of all relevant candidates; the
     membership test set for Voronoi certification.
@@ -216,7 +214,11 @@ def relevant_abs_patterns(n: int) -> frozenset:
     Read from the columns, not their expansion: a column with at most n
     nonzero entries gives the pattern of its n largest entries, and every
     column holds a 1, so some sign image of it has gcd 1."""
-    n = _check_dim(n, "relevant_abs_patterns")
+    return _abs_patterns(_check_dim(n, "relevant_abs_patterns"))
+
+
+@lru_cache(maxsize=None)
+def _abs_patterns(n: int) -> frozenset:
     return frozenset(
         tuple(sorted(c))[-n:]
         for c in REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS
@@ -235,9 +237,8 @@ def max_theorem_bound(n: int) -> int:
     centering classes: the coordinate bound the theorem asserts for
     minimum vectors in a Minkowski-reduced basis."""
     n = _check_dim(n, "max_theorem_bound")
-    return max(
-        x.denominator for c in centering_classes(n) for row in c.relevant_rows for x in row
-    )
+    return max(x.denominator for c in CENTERING_CLASSES if c.dimension == n
+               for row in c.relevant_rows for x in row)
 
 
 def _span_mod_1(generators, n) -> set:

@@ -3,11 +3,12 @@
 Voronoi's criterion: v is relevant iff +-v are the unique minima of their
 coset of L/2L. One Fincke-Pohst ball, binned in integers by parity in the
 LLL view's coordinates, holds the minima of all 2^n - 1 nonzero cosets
-(enumeration._coset_bins). Its radius is the largest norm of a +-1 class
-member signed greedily, priced by one walk over parity prefixes. Tie
-cosets contribute nothing: the one leaf of each tie-free bin goes through
-enumeration._by_exact_norm, the one path by which a vector list leaves the
-LLL view, and no other leaf is mapped back.
+(enumeration._coset_bins); relevant_vectors reads every class from it,
+and there is no per-class query. Its radius is the largest norm of a +-1
+class member signed greedily, priced by one walk over parity prefixes.
+Tie cosets contribute nothing: the one leaf of each tie-free bin goes
+through enumeration._by_exact_norm, the one path by which a vector list
+leaves the LLL view, and no other leaf is mapped back.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ MAX_COSET_DIM = 9
 class RelevantVectorSet(NamedTuple):
     vectors: tuple[IntVector, ...]          # one representative per +-pair
     norms: tuple[Fraction, ...]
-
-    def pair_count(self) -> int:
-        return len(self.vectors)
-
-    def signed_count(self) -> int:
-        return 2 * len(self.vectors)
 
 
 class Table4Report(NamedTuple):

@@ -55,6 +55,13 @@ def minor_pivots(rows):
     return pivots
 
 
+def first_nonpositive_minor(rows):
+    """Index k of the first leading principal minor, of order k + 1, that
+    is <= 0, or None if every one is positive (Sylvester's criterion)."""
+    return next((k for k in range(len(rows))
+                 if frac_det_gauss([row[:k + 1] for row in rows[:k + 1]]) <= 0), None)
+
+
 def minor_gcd(rows):
     """gcd of the k x k minors of a k x n integer system: 1 exactly when
     the system is primitive, 0 when it is dependent."""

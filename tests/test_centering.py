@@ -6,11 +6,14 @@ import pytest
 from minkred.centering import centering_data, check_theorem_bound, classify_centering
 from minkred.corpus import E8_STAR_COORDS, named_lattice
 from minkred.errors import DependentVectorsError, DimensionMismatchError, NotReducedError
-from minkred.exactlin import GramMatrix, identity_matrix, int_determinant
-from minkred.reduction import minkowski_reduce
-from minkred.tables import centering_classes
+from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, int_determinant
+from minkred.reduction import (
+    is_minkowski_reduced_definitional,
+    is_minkowski_reduced_table,
+    minkowski_reduce,
+)
 
-from _generators import random_generic_gram
+from _generators import random_generic_gram, random_unimodular
 from _oracles import brute_coset_reps
 
 F = Fraction
@@ -223,3 +226,29 @@ class TestTheoremBound:
         rep = check_theorem_bound(g)
         assert (rep.max_abs_coordinate_seen, rep.bound) == (seen, bound)
         assert not rep.counterexamples
+
+    @pytest.mark.parametrize("index, name", enumerate(["E6", "D6", "A6", "D5", "D4"]))
+    def test_skewed_root_lattices_reduced(self, index, name):
+        # the reduced basis of a skewed copy need not be the named one, so
+        # its minimum vectors are read in another reduced basis
+        base = named_lattice(name)
+        rng = random.Random(7100 + index)
+        seen = []
+        for _ in range(6):
+            g = minkowski_reduce(apply_transform(base, random_unimodular(rng, base.n, coeff=2))).reduced
+            assert is_minkowski_reduced_table(g) is True
+            assert is_minkowski_reduced_definitional(g) is True
+            rep = check_theorem_bound(g)
+            assert not rep.counterexamples
+            assert rep.max_abs_coordinate_seen <= rep.bound
+            seen.append(rep.max_abs_coordinate_seen)
+        if name == "E6":
+            assert 3 in seen
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_generic_reduced(self, n):
+        rng = random.Random(7200 + n)
+        for _ in range(20):
+            rep = check_theorem_bound(minkowski_reduce(random_generic_gram(rng, n)).reduced)
+            assert not rep.counterexamples
+            assert rep.max_abs_coordinate_seen <= rep.bound

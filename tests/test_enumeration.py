@@ -15,12 +15,13 @@ from minkred.corpus import (
     named_lattice,
 )
 from minkred.enumeration import (
+    _by_exact_norm,
     _completion,
+    _coset_bins,
     _in_norm_order,
     _reduced_view,
     _signed_radius,
     complete_to_basis,
-    coset_minima,
     enumerate_short_vectors,
     is_primitive_system,
     lattice_minimum,
@@ -452,47 +453,43 @@ class TestGreedyPass:
                 assert int_determinant(rep.transform) in (1, -1)
 
 
+def coset_classes(g):
+    """{parity: (minimum, +-representatives)} for every nonzero class of
+    L/2L: each bin of one _coset_bins ball, mapped back through
+    _by_exact_norm and keyed by the parity of its first vector in g's
+    coordinates."""
+    view = _reduced_view(g)
+    classes = {}
+    for leaves in _coset_bins(view):
+        minima = _by_exact_norm(view, leaves)
+        classes[tuple(x % 2 for x in minima[0][0])] = (minima[0][1], tuple(v for v, _ in minima))
+    return classes
+
+
 class TestCosetMinima:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed + 500)
         n = rng.randint(2, 3)
         g = random_pd_gram(rng, n)
-        parity = [rng.randint(0, 1) for _ in range(n)]
-        if not any(parity):
-            parity[0] = 1
-        lam, reps = coset_minima(g, parity)
-        # oracle needs a safe bound: norm of the 0/1 representative
-        bound = evaluate_form(g, parity)
-        blam, breps = brute_coset_minima(g.rows, parity, bound)
-        assert lam == blam
-        assert sorted(reps) == breps
+        classes = coset_classes(g)
+        assert len(classes) == 2**n - 1
+        for parity, (lam, reps) in classes.items():
+            # oracle needs a safe bound: norm of the 0/1 representative
+            blam, breps = brute_coset_minima(g.rows, parity, evaluate_form(g, parity))
+            assert lam == blam
+            assert list(reps) == breps
 
     @pytest.mark.parametrize("seed", range(10))
     def test_layers_are_keyed_by_parity_in_g_coordinates(self, seed):
         rng = random.Random(seed + 580)
         n = 2 + seed % 5
         g = skewed_orthogonal_gram(rng, n)[0] if seed % 2 else random_generic_gram(rng, n)
-        for key in product((0, 1), repeat=n):
-            if any(key):
-                lam, reps = coset_minima(g, key)
-                assert reps and all(tuple(x % 2 for x in v) == key for v in reps)
-                assert all(evaluate_form(g, v) == lam for v in reps)
-
-    def test_maps_back_only_its_own_class(self, monkeypatch):
-        calls = []
-        map_back = enumeration._map_back
-
-        def counted(view, coords):
-            calls.append(coords)
-            return map_back(view, coords)
-
-        monkeypatch.setattr(enumeration, "_map_back", counted)
-        for g in (GramMatrix(identity_matrix(4)), named_lattice("E6"), random_pd_gram(random.Random(11), 5)):
-            for parity in product((0, 1), repeat=g.n):
-                if any(parity):
-                    calls.clear()
-                    assert len(coset_minima(g, parity)[1]) == len(calls)
+        classes = coset_classes(g)
+        assert sorted(classes) == [key for key in product((0, 1), repeat=n) if any(key)]
+        for key, (lam, reps) in classes.items():
+            assert reps and all(tuple(x % 2 for x in v) == key for v in reps)
+            assert all(evaluate_form(g, v) == lam for v in reps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_signed_representative_bounds_its_coset(self, seed):

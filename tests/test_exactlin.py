@@ -15,7 +15,6 @@ from minkred.errors import (
     NotUnimodularError,
 )
 from minkred.exactlin import (
-    EmbeddedBasis,
     GramMatrix,
     apply_transform,
     determinant,
@@ -26,18 +25,27 @@ from minkred.exactlin import (
     int_determinant,
     int_matrix_rank,
     integral_gram_schmidt,
-    is_positive_definite,
-    ldl_decompose,
     mat_vec,
     transform_gram_int,
 )
 from minkred.corpus import example9_gram, example9_embedded
 
 from _generators import random_generic_gram, random_unimodular
-from _oracles import frac_det_gauss, minor_pivots, eval_q, scaled_int
+from _oracles import first_nonpositive_minor, frac_det_gauss, minor_pivots, eval_q, scaled_int
 
 
 F = Fraction
+
+
+def ldl_from_kernel(g):
+    """(L, D) with L diag(D) L^T = G, read off the integral Gram-Schmidt
+    kernel of g's scaled Gram (A, den): D[k] = d[k+1] / (d[k] den) and
+    L[i][j] = lam[i][j] / d[j+1] below the unit diagonal."""
+    a, den = g.scaled()
+    d, lam = integral_gram_schmidt(a)
+    n = g.n
+    L = [[F(lam[i][j], d[j + 1]) if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+    return L, [F(d[k + 1], d[k] * den) for k in range(n)]
 
 
 def recompose(L, D):
@@ -55,29 +63,29 @@ small_fracs = st.fractions(
 
 class TestLDL:
     def test_identity(self):
-        L, D = ldl_decompose(GramMatrix(identity_matrix(2)))
-        assert D == (1, 1)
-        assert L == ((1, 0), (0, 1))
+        L, D = ldl_from_kernel(GramMatrix(identity_matrix(2)))
+        assert D == [1, 1]
+        assert L == [[1, 0], [0, 1]]
 
     def test_2x2_hand(self):
         # forced by hand expansion: d1 = 2, l21 = 1/2, d2 = 2 - 1/4*2 = 3/2
-        L, D = ldl_decompose(GramMatrix([[2, 1], [1, 2]]))
-        assert D == (2, F(3, 2))
+        L, D = ldl_from_kernel(GramMatrix([[2, 1], [1, 2]]))
+        assert D == [2, F(3, 2)]
         assert L[1][0] == F(1, 2)
 
     def test_example9_pivots_positive(self):
         g = example9_gram()
-        L, D = ldl_decompose(g)
+        L, D = ldl_from_kernel(g)
         assert len(D) == 9 and all(d > 0 for d in D)
-        # cross-check pivots against the independent minor-ratio oracle
-        assert list(D) == minor_pivots(g.rows)
+        # cross-check the pivots d[k+1] / d[k] against the minor-ratio oracle
+        assert D == minor_pivots(g.rows)
         assert recompose(L, D) == [list(r) for r in g.rows]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 5), st.randoms(use_true_random=False))
     def test_recompose_random_pd(self, n, rng):
         g = random_generic_gram(rng, n, spread=4)
-        L, D = ldl_decompose(g)
+        L, D = ldl_from_kernel(g)
         assert recompose(L, D) == [list(r) for r in g.rows]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -94,10 +102,10 @@ class TestLDL:
             kernel_bad = err.pivot_index
         if pivots is None:
             # a leading minor vanished; the form is certainly not PD
-            assert not is_positive_definite(g)
+            assert first_nonpositive_pivot(g) is not None
             assert kernel_bad is not None
         else:
-            assert is_positive_definite(g) == all(p > 0 for p in pivots)
+            assert (first_nonpositive_pivot(g) is None) == all(p > 0 for p in pivots)
             first_bad = next((k for k, p in enumerate(pivots) if p <= 0), None)
             assert kernel_bad == first_bad
             if first_bad is None:
@@ -115,9 +123,12 @@ class TestLDL:
         ],
     )
     def test_indefinite_raises_at_first_bad_pivot(self, rows):
+        # the expected index is Sylvester's, from the oracle's own minors
+        expected = first_nonpositive_minor(rows)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            ldl_decompose(GramMatrix(rows))
-        assert err.value.pivot_index == first_nonpositive_pivot(GramMatrix(rows))
+            integral_gram_schmidt(GramMatrix(rows).scaled()[0])
+        assert expected is not None and err.value.pivot_index == expected
+        assert first_nonpositive_pivot(GramMatrix(rows)) == expected
 
     def test_first_bad_pivot_index(self):
         assert first_nonpositive_pivot(GramMatrix([[1, 0], [0, -1]])) == 1
@@ -273,8 +284,7 @@ def test_public_names_resolve():
 
 class TestGramFromBasis:
     def test_orthonormal(self):
-        b = EmbeddedBasis(identity_matrix(3))
-        assert gram_from_basis(b).rows == GramMatrix(identity_matrix(3)).rows
+        assert gram_from_basis(identity_matrix(3)).rows == GramMatrix(identity_matrix(3)).rows
 
     def test_eq1_reproduces_example9_form(self):
         g = gram_from_basis(example9_embedded())
@@ -286,15 +296,22 @@ class TestGramFromBasis:
         assert g == example9_gram()
 
     def test_column_scaling_bilinearity(self):
-        b = EmbeddedBasis([[1, 0], [1, 1], [0, 2]])
-        g = gram_from_basis(b)
-        scaled = EmbeddedBasis([[2, 0], [2, 1], [0, 2]])
-        g2 = gram_from_basis(scaled)
+        g = gram_from_basis([[1, 0], [1, 1], [0, 2]])
+        g2 = gram_from_basis([[2, 0], [2, 1], [0, 2]])
         assert g2[0, 0] == 4 * g[0, 0]
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(DependentVectorsError):
-            gram_from_basis(EmbeddedBasis([[1, 2], [2, 4], [0, 0]]))
+            gram_from_basis([[1, 2], [2, 4], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[], [[]], [[1, 0], [1]], [[1, 0, 0], [0, 1, 0]]],
+        ids=["empty", "no-columns", "ragged", "3-columns-in-R2"],
+    )
+    def test_shape_is_checked(self, matrix):
+        with pytest.raises(DimensionMismatchError, match=r"^gram_from_basis: "):
+            gram_from_basis(matrix)
 
 
 class TestApplyTransform:

@@ -17,7 +17,6 @@ from minkred.centering import centering_data
 from minkred.corpus import named_lattice
 from minkred.enumeration import (
     complete_to_basis,
-    coset_minima,
     enumerate_short_vectors,
     is_primitive_system,
 )
@@ -28,11 +27,11 @@ from minkred.errors import (
     UnsupportedDimensionError,
 )
 from minkred.exactlin import (
-    EmbeddedBasis,
     GramMatrix,
     apply_transform,
     determinant,
     evaluate_form,
+    gram_from_basis,
     int_determinant,
     int_matrix_rank,
 )
@@ -55,7 +54,6 @@ ENTRIES = {
     "centering_data": (centering_data, [[2, 1], [0, 3]]),
     "is_primitive_system": (is_primitive_system, [[1, 2], [0, 1]]),
     "complete_to_basis": (lambda rows: complete_to_basis(rows, 2), [[3, 2]]),
-    "coset_minima": (lambda rows: coset_minima(A2, rows[0]), [[1, 3]]),
     "int_determinant": (int_determinant, [[2, 1], [1, 3]]),
     "int_matrix_rank": (int_matrix_rank, [[1, 2], [3, 4]]),
 }
@@ -83,7 +81,6 @@ def test_integral_fractions_and_floats_pass_as_ints(name, kind):
 
 @pytest.mark.parametrize("name, call", [
     ("centering_data", lambda: centering_data([[2.5, 0], [0, 1]])),
-    ("coset_minima", lambda: coset_minima(A2, [1.5, 0])),
     ("is_primitive_system", lambda: is_primitive_system([[1.5, 0]])),
     ("complete_to_basis", lambda: complete_to_basis([[F(1, 2), 1]], 2)),
     ("evaluate_form", lambda: evaluate_form(A2, [F(1, 2), 1])),
@@ -98,7 +95,7 @@ def test_formerly_truncated_inputs_raise(name, call):
 # entry point: (call on rows of rationals, valid rows of ints and Fractions)
 RATIONAL_ENTRIES = {
     "GramMatrix": (GramMatrix, [[2, F(1, 2)], [F(1, 2), 3]]),
-    "EmbeddedBasis": (EmbeddedBasis, [[1, F(1, 3)], [0, 2], [F(1, 2), 1]]),
+    "gram_from_basis": (gram_from_basis, [[1, F(1, 3)], [0, 2], [F(1, 2), 1]]),
     "determinant": (determinant, [[F(1, 2), 1], [1, 3]]),
     "enumerate_short_vectors": (lambda rows: enumerate_short_vectors(A2, rows[0][0]), [[3]]),
     "lll_reduce": (lambda rows: lll_reduce(A2, rows[0][0]), [[1]]),
@@ -144,7 +141,6 @@ def test_formerly_escaping_rationals_raise(name, call):
 
 @pytest.mark.parametrize("name, call", [
     ("enumerate_short_vectors", lambda: enumerate_short_vectors(A2, 0)),
-    ("coset_minima", lambda: coset_minima(A2, [2, 0])),
     ("lll_reduce", lambda: lll_reduce(A2, F(1, 4))),
     ("hermite_witness_search", lambda: hermite_witness_search(A2, -1)),
 ])
@@ -170,7 +166,7 @@ TABLE_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [3.5, F(7, 2), "3", None], ids=repr)
+@pytest.mark.parametrize("bad", [3.5, F(7, 2), "3", None, [3]], ids=repr)
 @pytest.mark.parametrize("name", TABLE_ENTRIES)
 def test_table_dimension_follows_the_integer_rule(name, bad):
     with pytest.raises(InvalidInputError, match=rf"^{name}: entry \(0,0\)"):
@@ -188,3 +184,15 @@ def test_integral_table_dimension_passes(name, kind):
 def test_table_dimension_out_of_range(name, n):
     with pytest.raises(UnsupportedDimensionError, match="tables cover dimensions 2..6"):
         TABLE_ENTRIES[name](n)
+
+
+@pytest.mark.parametrize("name", [3, ["Z2"], None], ids=repr)
+def test_lattice_name_that_is_not_a_str_is_rejected(name):
+    # checked before the registry's cache, which an unhashable name would escape
+    with pytest.raises(InvalidInputError, match=r"^named_lattice: "):
+        named_lattice(name)
+
+
+def test_unknown_lattice_name_is_a_key_error():
+    with pytest.raises(KeyError):
+        named_lattice("Z10")

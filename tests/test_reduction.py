@@ -13,13 +13,10 @@ from minkred.exactlin import (
     GramMatrix,
     apply_transform,
     determinant,
-    evaluate_form,
     first_nonpositive_pivot,
     identity_matrix,
     int_determinant,
     integral_gram_schmidt,
-    is_positive_definite,
-    ldl_decompose,
     transform_gram_int,
 )
 from minkred.reduction import (
@@ -44,6 +41,7 @@ from _generators import (
 from _oracles import (
     brute_first_violation,
     brute_greedy_basis,
+    first_nonpositive_minor,
     flat_table_first_violation,
     table_checks,
 )
@@ -176,7 +174,7 @@ class TestTableCertificate:
             for j in range(n):
                 if j != i:
                     rows[i][j] = rows[j][i] = rows[i][j] + rng.choice([-1, 1])
-            if is_positive_definite(GramMatrix(rows)):
+            if first_nonpositive_pivot(GramMatrix(rows)) is None:
                 _assert_table_matches_flat_scan(GramMatrix(rows))
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -804,11 +802,11 @@ class TestHermiteWitness:
     ids=lambda f: f.__name__,
 )
 def test_non_pd_raises_at_first_bad_pivot(entry, rows):
-    # the LLL view's kernel run is the check; the expected index comes
-    # from a separate GramMatrix, so no cached verdict is shared
+    # the LLL view's kernel run is the check; the expected index is the
+    # first leading minor <= 0, from the oracle's own determinants
     with pytest.raises(NotPositiveDefiniteError) as err:
         entry(GramMatrix(rows))
-    assert err.value.pivot_index == first_nonpositive_pivot(GramMatrix(rows))
+    assert err.value.pivot_index == first_nonpositive_minor(rows)
 
 
 class TestReductionPreservesStructure:
@@ -817,5 +815,4 @@ class TestReductionPreservesStructure:
         rng = random.Random(seed + 7000)
         g, _, _ = skewed_orthogonal_gram(rng, rng.randint(2, 5))
         for rep in (minkowski_reduce(g), lll_reduce(g)):
-            _, d = ldl_decompose(rep.reduced)
-            assert all(x > 0 for x in d)
+            assert first_nonpositive_pivot(rep.reduced) is None

@@ -7,7 +7,7 @@ import pytest
 from minkred import enumeration, voronoi
 from minkred.corpus import named_lattice
 from minkred.errors import NotReducedError, UnsupportedDimensionError
-from minkred.enumeration import _coset_bins, _reduced_view, coset_minima, lattice_minimum
+from minkred.enumeration import lattice_minimum
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, mat_vec
 from minkred.reduction import minkowski_reduce
 from minkred.tables import canonical_sign
@@ -20,6 +20,7 @@ from _generators import (
     skewed_orthogonal_gram,
 )
 from _oracles import brute_coset_minima, eval_q, gram_inverse, signed_representative
+from test_enumeration import coset_classes
 
 F = Fraction
 
@@ -32,14 +33,14 @@ class TestRelevantVectors:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cubic_lattice(self, n):
         rel = relevant_vectors(GramMatrix(identity_matrix(n)))
-        assert rel.pair_count() == n
+        assert len(rel.vectors) == n
         assert set(rel.vectors) == {
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         }
 
     def test_a2_hexagon(self):
         rel = relevant_vectors(named_lattice("A2"))
-        assert rel.pair_count() == 3
+        assert len(rel.vectors) == 3
         assert all(q == 2 for q in rel.norms)
 
     def test_count_bound_and_negation_symmetry(self):
@@ -48,7 +49,7 @@ class TestRelevantVectors:
             n = rng.randint(2, 4)
             g = random_generic_gram(rng, n)
             rel = relevant_vectors(g)
-            assert rel.signed_count() <= 2 * (2**n - 1)
+            assert len(rel.vectors) <= 2**n - 1
             for v in rel.vectors:
                 assert canonical_sign(v) == v
 
@@ -58,8 +59,8 @@ class TestRelevantVectors:
             rng = random.Random(seed + 900)
             g = random_generic_gram(rng, 4)
             rel = relevant_vectors(g)
-            assert rel.signed_count() <= 30
-            if rel.signed_count() == 30:
+            assert len(rel.vectors) <= 15  # 30 signed
+            if len(rel.vectors) == 15:
                 hits += 1
         # ties are rare for wide integer entries; with entries in +-3 they
         # are real and common
@@ -169,10 +170,8 @@ class TestRelevantVectors:
         # in the skewed form's coordinates.
         base = named_lattice(name)
         n = base.n
-        # each class's minimum, keyed by its parity T y mod 2 in base's coordinates
-        view = _reduced_view(base)
-        minima = {tuple(x & 1 for x in mat_vec(view.transform, raw[0][0])): F(raw[0][1], view.den)
-                  for raw in _coset_bins(view)}
+        # each class's minimum, keyed by its parity in base's coordinates
+        minima = {p: lam for p, (lam, _) in coset_classes(base).items()}
         tops = [p for p, lam in minima.items() if lam == top]
         assert len(minima) == 2**n - 1
         assert max(minima.values()) == top and len(tops) == classes
@@ -182,11 +181,12 @@ class TestRelevantVectors:
         for t in (identity_matrix(n), random_unimodular(rng, n, coeff=2), random_unimodular(rng, n, coeff=2)):
             g = apply_transform(base, t)
             t_inv = [[int(x) for x in row] for row in gram_inverse(t)]
+            classes = coset_classes(g)
             for p, (lam, reps) in oracle.items():
                 mapped = sorted(_canonical(mat_vec(t_inv, y)) for y in reps)
                 parity = tuple(x % 2 for x in mat_vec(t_inv, p))
-                assert coset_minima(g, parity) == (lam, tuple(mapped))
-            assert relevant_vectors(g).signed_count() == signed
+                assert classes[parity] == (lam, tuple(mapped))
+            assert 2 * len(relevant_vectors(g).vectors) == signed
 
     def test_maps_back_only_the_vectors_it_returns(self, monkeypatch):
         # tie cosets are dropped before any vector leaves the LLL view
@@ -200,7 +200,7 @@ class TestRelevantVectors:
         monkeypatch.setattr(enumeration, "_map_back", counted)
         for g in (GramMatrix(identity_matrix(4)), named_lattice("E6"), random_pd_gram(random.Random(11), 5)):
             calls.clear()
-            assert relevant_vectors(g).pair_count() == len(calls)
+            assert len(relevant_vectors(g).vectors) == len(calls)
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -211,7 +211,7 @@ class TestRelevantVectors:
         # Minkowski- but not Hermite-reduced {e1..e7, e8*, e9*}, and a skewed one
         g = named_lattice("example9")
         moved = apply_transform(g, random_unimodular(random.Random(9), 9, coeff=2))
-        counts = [relevant_vectors(h).pair_count() for h in (g, named_lattice("example9-mnh"), moved)]
+        counts = [len(relevant_vectors(h).vectors) for h in (g, named_lattice("example9-mnh"), moved)]
         assert counts == [313] * 3
 
 
