@@ -6,7 +6,6 @@ the coordinate-bound verifier; every decision runs on exact integers."""
 from .exactlin import (
     GramMatrix,
     apply_transform,
-    determinant,
     evaluate_form,
     first_nonpositive_pivot,
     gram_from_basis,
@@ -15,7 +14,6 @@ from .exactlin import (
 __all__ = [
     "GramMatrix",
     "apply_transform",
-    "determinant",
     "evaluate_form",
     "first_nonpositive_pivot",
     "gram_from_basis",

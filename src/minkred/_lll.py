@@ -4,12 +4,12 @@ It works on the leading-minor sequence d and the integer Gram-Schmidt
 numerators lambda of :func:`exactlin.integral_gram_schmidt`, so every step
 is exact integer arithmetic; the reduced Gram matrix is recomputed from the
 accumulated transform by the caller. Only the transform is tracked:
-callers map reduced coordinates to input ones, never back.
+callers map reduced coordinates to input ones, never back. The Lovasz
+parameter is fixed at delta = 3/4, which the swap test reads as the
+integers 3 and 4.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .exactlin import identity_matrix, integral_gram_schmidt
 
@@ -33,8 +33,8 @@ def _reduce_step(d, lam, t, k, l):
         lam_k[j] -= r * lam_l[j]
 
 
-def lll_transform(a, delta=Fraction(3, 4)):
-    """Reduce the integer Gram matrix ``a`` with the Fraction ``delta``.
+def lll_transform(a):
+    """LLL-reduce the integer Gram matrix ``a`` with delta = 3/4.
 
     Returns (t, swaps, d, lam): t is the unimodular transform whose
     columns are the reduced basis in input coordinates (reduced Gram =
@@ -44,7 +44,6 @@ def lll_transform(a, delta=Fraction(3, 4)):
     Raises NotPositiveDefiniteError when a leading minor is <= 0.
     """
     n = len(a)
-    p, q = delta.numerator, delta.denominator
     dd, lam = integral_gram_schmidt(a)
     # transform columns are basis vectors; column ops mirror basis ops
     t = [list(row) for row in identity_matrix(n)]
@@ -54,7 +53,7 @@ def lll_transform(a, delta=Fraction(3, 4)):
     while k < n:
         _reduce_step(dd, lam, t, k, k - 1)
         lkl = lam[k][k - 1]
-        if q * (dd[k + 1] * dd[k - 1] + lkl * lkl) < p * dd[k] * dd[k]:
+        if 4 * (dd[k + 1] * dd[k - 1] + lkl * lkl) < 3 * dd[k] * dd[k]:
             # swap basis vectors k-1 and k
             for row in t:
                 row[k], row[k - 1] = row[k - 1], row[k]

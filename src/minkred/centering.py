@@ -73,20 +73,19 @@ def centering_data(sub_basis: Sequence[Sequence[int]]) -> CenteringData:
     return CenteringData(abs(det), reps, lcm(*(x.denominator for g in generators for x in g)))
 
 
-def classify_centering(data: CenteringData, n: int) -> Optional[CenteringClass]:
+def classify_centering(data: CenteringData) -> Optional[CenteringClass]:
     """Match against the admissible-centering table, up to coordinate
     permutation; None means "unknown" (not an admissible centering of a
-    minimum parallelepiped, or outside the table). Raises
-    DimensionMismatchError when the representatives are not of length n."""
-    if any(len(rep) != n for rep in data.coset_reps):
-        raise DimensionMismatchError(f"centering data is not {n}-dimensional")
+    minimum parallelepiped, or outside the table). The dimension is that
+    of the zero row, which every CenteringData holds. A class with the
+    data's V has V - 1 nonzero representatives, as the data has, so the
+    sets are compared only under permutation."""
+    n = len(data.coset_reps[0])
     observed = frozenset(rep for rep in data.coset_reps if any(rep))
     for cls in centering_classes(n):
         if cls.U != data.denominator_U or cls.V != data.index_V:
             continue
         want = class_rep_set(cls)
-        if len(want) != len(observed):
-            continue
         for perm in permutations(range(n)):
             if frozenset(tuple(rep[p] for p in perm) for rep in observed) == want:
                 return cls

@@ -1,7 +1,9 @@
 """Fixture lattices: the registry of named test lattices.
 
-The 9-dimensional worked example lives here: its 12x9 basis matrix, its
-Gram matrix, and the Minkowski-reduced-but-not-Hermite-reduced companion
+Every fixture is reached by its name through :func:`named_lattice`, which
+builds it once. The 9-dimensional worked example is there twice: as
+``example9``, the Gram matrix of the 12x9 basis matrix below, and as
+``example9-mnh``, the Minkowski-reduced but not Hermite-reduced companion
 obtained by swapping in the two starred vectors.
 """
 
@@ -19,7 +21,7 @@ F = Fraction
 # fractional entries; every column has squared length exactly 1.
 _H = F(1, 2)
 _T = F(1, 3)
-_EXAMPLE9_MATRIX = (
+EXAMPLE9_MATRIX = (
     (_H, 0, 0, 0, 0, 0, 0, _H, 0),
     (_H, 0, 0, 0, 0, 0, 0, 0, _T),
     (_H, 0, 0, 0, 0, 0, 0, 0, _T),
@@ -39,32 +41,6 @@ _EXAMPLE9_MATRIX = (
 # (squared length 7/6) completing that system to a basis.
 E8_STAR_COORDS = (-2, -1, -1, -1, -1, -1, -1, 2, 3)
 E9_STAR_COORDS = (-1, 0, 0, 0, 0, 0, 0, 1, 1)
-
-
-def example9_embedded():
-    """The 12x9 rational matrix whose columns are the example's basis."""
-    return _EXAMPLE9_MATRIX
-
-
-@lru_cache(maxsize=None)
-def example9_gram() -> GramMatrix:
-    """Gram matrix of the embedded example basis (exact E^T E)."""
-    return gram_from_basis(example9_embedded())
-
-
-@lru_cache(maxsize=None)
-def example9_star_transform():
-    """Columns {e1,...,e7, e8*, e9*} as a unimodular transform."""
-    cols = [tuple(1 if i == j else 0 for i in range(9)) for j in range(7)]
-    cols.append(E8_STAR_COORDS)
-    cols.append(E9_STAR_COORDS)
-    return tuple(tuple(cols[j][i] for j in range(9)) for i in range(9))
-
-
-@lru_cache(maxsize=None)
-def example9_reduced_not_hermite() -> GramMatrix:
-    """Gram of {e1..e7, e8*, e9*}: Minkowski-reduced but not Hermite-reduced."""
-    return apply_transform(example9_gram(), example9_star_transform())
 
 
 def _a_gram(n):
@@ -101,12 +77,31 @@ _D4_CENTERED_CUBIC = (
 )
 
 
+def _example9_mnh() -> GramMatrix:
+    """Gram of {e1..e7, e8*, e9*}: Minkowski-reduced but not Hermite-reduced."""
+    cols = [tuple(int(i == j) for i in range(9)) for j in range(7)]
+    cols += [E8_STAR_COORDS, E9_STAR_COORDS]
+    return apply_transform(_named_lattice("example9"), tuple(zip(*cols)))
+
+
+_BUILDERS = {
+    **{f"Z{n}": (lambda n=n: GramMatrix([[int(i == j) for j in range(n)] for i in range(n)]))
+       for n in range(1, 10)},
+    **{f"A{n}": (lambda n=n: GramMatrix(_a_gram(n))) for n in range(2, 7)},
+    **{f"D{n}": (lambda n=n: gram_from_basis(_d_basis(n))) for n in range(3, 7)},
+    "E6": lambda: GramMatrix(_E6_GRAM),
+    "D4-centered-cubic": lambda: GramMatrix(_D4_CENTERED_CUBIC),
+    "example9": lambda: gram_from_basis(EXAMPLE9_MATRIX),
+    "example9-mnh": _example9_mnh,
+}
+
+
 def named_lattice(name: str) -> GramMatrix:
     """Gram matrix of a named test lattice, one GramMatrix per name.
 
-    Registry: Z2..Z9, A2..A6, D3..D6, E6, D4-centered-cubic, example9,
-    example9-mnh. A name that is not a str raises InvalidInputError and
-    an unknown one KeyError.
+    Registry: Z1..Z9, A2..A6, D3..D6, E6, D4-centered-cubic, example9,
+    example9-mnh, spelled exactly so. A name that is not a str raises
+    InvalidInputError and any other str KeyError.
     """
     if not isinstance(name, str):
         raise InvalidInputError(f"named_lattice: name {name!r} is not a str")
@@ -115,24 +110,6 @@ def named_lattice(name: str) -> GramMatrix:
 
 @lru_cache(maxsize=None)
 def _named_lattice(name: str) -> GramMatrix:
-    if name.startswith("Z") and name[1:].isdigit():
-        n = int(name[1:])
-        if 1 <= n <= 9:
-            return GramMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    if name.startswith("A") and name[1:].isdigit():
-        n = int(name[1:])
-        if 2 <= n <= 6:
-            return GramMatrix(_a_gram(n))
-    if name.startswith("D") and name[1:].isdigit():
-        n = int(name[1:])
-        if 3 <= n <= 6:
-            return gram_from_basis(_d_basis(n))
-    if name == "E6":
-        return GramMatrix(_E6_GRAM)
-    if name == "D4-centered-cubic":
-        return GramMatrix(_D4_CENTERED_CUBIC)
-    if name == "example9":
-        return example9_gram()
-    if name == "example9-mnh":
-        return example9_reduced_not_hermite()
-    raise KeyError(f"unknown lattice name {name!r}")
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown lattice name {name!r}")
+    return _BUILDERS[name]()

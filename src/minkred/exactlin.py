@@ -212,16 +212,6 @@ def int_determinant(m: Sequence[Sequence[int]]) -> int:
     return p if rank == len(m) else 0
 
 
-def determinant(m) -> Fraction:
-    """Exact determinant of a square rational matrix (entries as in
-    :func:`_frac_rows`): that of its scaled integer matrix A = den M (see
-    :func:`_scale`), over den^n."""
-    a, den = _scale(_frac_rows(m, "determinant"))
-    if any(len(r) != len(a) for r in a):
-        raise DimensionMismatchError("determinant: needs a square matrix")
-    return Fraction(int_determinant(a), den ** len(a))
-
-
 def int_matrix_rank(m: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix (entries as in :func:`_int_rows`) by
     Bareiss elimination."""

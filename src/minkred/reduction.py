@@ -50,7 +50,6 @@ from .exactlin import (
     GramMatrix,
     IntMatrix,
     IntVector,
-    _frac_rows,
     _int_rows,
     evaluate_form,
     identity_matrix,
@@ -246,14 +245,10 @@ def greedy_minkowski_basis(g: GramMatrix) -> ReductionReport:
     return _report(g, tuple(zip(*rows)), g.n, ())
 
 
-def lll_reduce(g: GramMatrix, delta=F(3, 4)) -> ReductionReport:
-    """Exact-rational LLL (integral Gram variant); preprocessing and
-    comparison baseline. iterations counts swaps. delta follows the
-    rational input rule of :func:`exactlin._frac_rows`."""
-    ((delta,),) = _frac_rows(((delta,),), "lll_reduce")
-    if not (F(1, 4) < delta <= 1):
-        raise InvalidInputError(f"lll_reduce: delta must satisfy 1/4 < delta <= 1, got {delta}")
-    t, swaps = lll_transform(g.scaled()[0], delta)[:2]
+def lll_reduce(g: GramMatrix) -> ReductionReport:
+    """Exact LLL with delta = 3/4 (integral Gram variant), as a report;
+    a comparison baseline. iterations counts swaps."""
+    t, swaps = lll_transform(g.scaled()[0])[:2]
     return _report(g, t, swaps, ())
 
 

@@ -1,7 +1,9 @@
 """The three finite tables driving everything in dimensions 2..6: the
 reduction-condition candidate columns, the Dirichlet-Voronoi relevant-vector
 candidate columns, and the admissible-centering classes, plus the expansion
-of raw columns into explicit coordinate-vector sets.
+of raw columns into explicit coordinate-vector sets. The expansion relies on
+two facts of the columns, both pinned by the tests: each holds a 1, and no
+two have the same norm.
 
 Raw column data is transcribed verbatim; a golden listing under docs/ guards
 against transcription slips.
@@ -155,43 +157,29 @@ def _pivot(coords) -> int:
     return max(i for i, x in enumerate(coords) if x != 0)
 
 
-def _expand_column(column, n):
-    """All sign/permutation images of a table column in n coordinates,
-    canonicalized; empty if the column has more than n nonzero entries."""
-    nonzero = [x for x in column if x != 0]
-    if len(nonzero) > n:
-        return []
-    padded = nonzero + [0] * (n - len(nonzero))
-    out = set()
-    for perm in set(permutations(padded)):
-        positions = [i for i, x in enumerate(perm) if x != 0]
-        for signs in product((1, -1), repeat=len(positions)):
-            v = list(perm)
-            for pos, s in zip(positions, signs):
-                v[pos] *= s
-            if gcd(*v) != 1:
-                continue
-            out.add(canonical_sign(v))
-    return [ExpandedCandidate(v, _pivot(v)) for v in out]
-
-
-def _column_norm(column) -> int:
-    return sum(x * x for x in column)
-
-
 @lru_cache(maxsize=None)
 def _expand_columns(columns, n):
-    seen = {}
-    order = {}
-    for col_rank, column in enumerate(sorted(columns, key=lambda c: (_column_norm(c), c))):
-        for cand in _expand_column(column, n):
-            if cand.coords not in seen:
-                seen[cand.coords] = cand
-                order[cand.coords] = (_column_norm(column), col_rank)
-    ranked = sorted(
-        seen.values(), key=lambda c: (c.pivot, order[c.coords], c.coords)
-    )
-    return tuple(ranked)
+    """Every sign/permutation image of the columns with at most n nonzero
+    entries, in n coordinates and canonical sign, sorted by (pivot, column
+    norm, coordinates).
+
+    Every column holds a 1, so each image has gcd 1; the columns have
+    pairwise distinct norms, so no image comes from two columns and the
+    norm alone orders them."""
+    ranked = []
+    for column in columns:
+        nonzero = [x for x in column if x]
+        if len(nonzero) > n:
+            continue
+        norm = sum(x * x for x in nonzero)
+        images = {
+            canonical_sign(v)
+            for perm in set(permutations(nonzero + [0] * (n - len(nonzero))))
+            for v in product(*((x, -x) if x else (0,) for x in perm))
+        }
+        ranked.extend((_pivot(v), norm, v) for v in images)
+    ranked.sort()
+    return tuple(ExpandedCandidate(v, pivot) for pivot, _, v in ranked)
 
 
 def tammela_reduction_candidates(n: int) -> tuple[ExpandedCandidate, ...]:

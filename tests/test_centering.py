@@ -5,7 +5,7 @@ import pytest
 
 from minkred.centering import centering_data, check_theorem_bound, classify_centering
 from minkred.corpus import E8_STAR_COORDS, named_lattice
-from minkred.errors import DependentVectorsError, DimensionMismatchError, NotReducedError
+from minkred.errors import DependentVectorsError, NotReducedError
 from minkred.exactlin import GramMatrix, apply_transform, identity_matrix, int_determinant
 from minkred.reduction import (
     is_minkowski_reduced_definitional,
@@ -100,19 +100,19 @@ class TestCenteringData:
             d2 = centering_data(permuted)
             assert d2.index_V == data.index_V
             assert d2.denominator_U == data.denominator_U
-            assert classify_centering(d2, 5) == classify_centering(data, 5)
+            assert classify_centering(d2) == classify_centering(data)
 
 
 class TestClassification:
     def test_trivial_class_dim5(self):
         data = centering_data(identity_matrix(5))
-        cls = classify_centering(data, 5)
+        cls = classify_centering(data)
         assert cls is not None and (cls.U, cls.V) == (1, 1)
 
     @pytest.mark.parametrize("n", (4, 5, 6))
     def test_halfsum_classifies(self, n):
         data = centering_data(halfsum_subbasis(n))
-        cls = classify_centering(data, n)
+        cls = classify_centering(data)
         assert cls is not None
         assert (cls.U, cls.V) == (2, 2)
         assert cls.relevant_rows == ((H,) * n,)
@@ -121,13 +121,13 @@ class TestClassification:
         rows = [tuple(1 if j == i else 0 for j in range(5)) for i in (0, 1, 2)]
         rows.append((-1, -1, -1, 2, 0))
         rows.append((0, 0, 0, 0, 1))
-        cls = classify_centering(centering_data(rows), 5)
+        cls = classify_centering(centering_data(rows))
         assert cls is not None and cls.relevant_rows == ((H, H, H, H, 0),)
 
     def test_thirdsum_dim6(self):
         data = centering_data(thirdsum_subbasis6())
         assert data.index_V == 3 and data.denominator_U == 3
-        cls = classify_centering(data, 6)
+        cls = classify_centering(data)
         assert cls is not None and (cls.U, cls.V) == (3, 3)
         assert cls.relevant_rows == ((F(1, 3),) * 6,)
 
@@ -138,7 +138,7 @@ class TestClassification:
         rows.append((-1, -1, 0, 0, -1, 2))
         data = centering_data(rows)
         assert data.index_V == 4
-        cls = classify_centering(data, 6)
+        cls = classify_centering(data)
         assert cls is not None and (cls.U, cls.V) == (2, 4)
         assert len(cls.relevant_rows) == 3
 
@@ -160,15 +160,7 @@ class TestClassification:
         data = centering_data(rows)
         assert data.index_V == 2
         assert (H, H, 0, 0, 0, 0) in data.coset_reps
-        assert classify_centering(data, 6) is None
-
-    @pytest.mark.parametrize("rows", (
-        identity_matrix(3),                       # V = 1 agrees with a 4-dim class on U, V
-        ((2, 0, 0), (0, 1, 0), (0, 0, 1)),        # V = 2: 4-dim permutations overrun a 3-tuple
-    ))
-    def test_data_of_another_dimension_rejected(self, rows):
-        with pytest.raises(DimensionMismatchError):
-            classify_centering(centering_data(rows), 4)
+        assert classify_centering(data) is None
 
 
 def has_half_centered_face(data):

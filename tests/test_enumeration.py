@@ -7,13 +7,7 @@ from math import gcd, isqrt
 import pytest
 
 from minkred import enumeration
-from minkred.corpus import (
-    E8_STAR_COORDS,
-    E9_STAR_COORDS,
-    example9_gram,
-    example9_reduced_not_hermite,
-    named_lattice,
-)
+from minkred.corpus import E8_STAR_COORDS, E9_STAR_COORDS, named_lattice
 from minkred.enumeration import (
     _by_exact_norm,
     _completion,
@@ -77,7 +71,7 @@ class TestEnumerate:
         assert all(q == 2 for _, q in out.vectors)
 
     def test_example9_bound_1_membership(self):
-        g = example9_gram()
+        g = named_lattice("example9")
         out = enumerate_short_vectors(g, 1)
         vecs = {v for v, _ in out.vectors}
         for i in range(9):
@@ -146,7 +140,7 @@ class TestEnumerate:
         # Each range is one isqrt of floor(d[j] (bound_num d[j+1] - bound_den
         # N_{j+1}) / bound_den) < d[j] d[j+1] bound_num, whatever the depth,
         # on a skewed copy of the paper's 9-dim example.
-        g = apply_transform(example9_gram(), random_unimodular(random.Random(9), 9, ops=18))
+        g = apply_transform(named_lattice("example9"), random_unimodular(random.Random(9), 9, ops=18))
         view = _reduced_view(g)
         d = view.d
         sizes = []
@@ -224,7 +218,7 @@ class TestInNormOrder:
 
 class TestLatticeMinimum:
     def test_example9(self):
-        lam, minima = lattice_minimum(example9_gram())
+        lam, minima = lattice_minimum(named_lattice("example9"))
         assert lam == 1
         assert all(q == 1 for _, q in minima.vectors)
 
@@ -272,7 +266,7 @@ class TestSuccessiveMinima:
         assert seen == radii
 
     def test_example9_all_ones(self):
-        sm = successive_minima(example9_gram())
+        sm = successive_minima(named_lattice("example9"))
         assert sm.norms == (1,) * 9
 
     @pytest.mark.parametrize("seed", range(6))
@@ -428,10 +422,10 @@ class TestIncrementalCompletion:
 
 class TestGreedyPass:
     def test_example9_star_basis_is_kept(self):
-        g = example9_reduced_not_hermite()
+        g = named_lattice("example9-mnh")
         rep = minkowski_reduce(g)
         assert rep.iterations == 0 and rep.reduced == g
-        assert g[8, 8] == evaluate_form(example9_gram(), E9_STAR_COORDS) == F(7, 6)
+        assert g[8, 8] == evaluate_form(named_lattice("example9"), E9_STAR_COORDS) == F(7, 6)
 
     def test_one_fold_per_chosen_vector(self, monkeypatch):
         folds = []

@@ -6,13 +6,12 @@ import pytest
 
 from minkred import enumeration, reduction
 from minkred.centering import check_theorem_bound
-from minkred.corpus import example9_gram, example9_reduced_not_hermite, named_lattice
+from minkred.corpus import named_lattice
 from minkred.enumeration import lattice_minimum, successive_minima
 from minkred.errors import NotPositiveDefiniteError, NotReducedError, UnsupportedDimensionError
 from minkred.exactlin import (
     GramMatrix,
     apply_transform,
-    determinant,
     first_nonpositive_pivot,
     identity_matrix,
     int_determinant,
@@ -43,6 +42,7 @@ from _oracles import (
     brute_greedy_basis,
     first_nonpositive_minor,
     flat_table_first_violation,
+    frac_det_gauss,
     table_checks,
 )
 
@@ -72,7 +72,7 @@ class TestTableCheck:
 
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimensionError):
-            is_minkowski_reduced_table(example9_gram())
+            is_minkowski_reduced_table(named_lattice("example9"))
         with pytest.raises(NotPositiveDefiniteError):
             is_minkowski_reduced_table(GramMatrix([[1, 3], [3, 1]]))
 
@@ -300,7 +300,7 @@ def _assert_first_violation_matches_brute_force(g):
 
 class TestDefinitionalCheck:
     def test_example9_star_basis_reduced(self):
-        assert is_minkowski_reduced_definitional(example9_reduced_not_hermite()) is True
+        assert is_minkowski_reduced_definitional(named_lattice("example9-mnh")) is True
 
     def test_4_3_3_5_witness(self):
         v = is_minkowski_reduced_definitional(GramMatrix([[4, 3], [3, 5]]))
@@ -385,7 +385,7 @@ class TestMinkowskiReduce:
         assert rep.iterations <= n
         assert is_minkowski_reduced_table(rep.reduced) is True
         assert apply_transform(g, rep.transform) == rep.reduced
-        assert determinant(rep.reduced.rows) == determinant(g.rows)
+        assert frac_det_gauss(rep.reduced.rows) == frac_det_gauss(g.rows)
         lam, _ = lattice_minimum(g)
         assert rep.reduced[0, 0] == lam
         # idempotence
@@ -427,14 +427,15 @@ class TestMinkowskiReduce:
         assert rep.iterations <= 3
 
     def test_example9_already_reduced(self):
-        rep = minkowski_reduce(example9_gram())
+        rep = minkowski_reduce(named_lattice("example9"))
         assert rep.iterations == 0
         assert rep.reduced.diagonal() == (F(1),) * 9
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dims_7_to_9(self, seed):
         rng = random.Random(seed + 8000)
-        for base in (example9_gram(), random_generic_gram(rng, 7), random_generic_gram(rng, 8)):
+        bases = (named_lattice("example9"), random_generic_gram(rng, 7), random_generic_gram(rng, 8))
+        for base in bases:
             g = apply_transform(base, random_unimodular(rng, base.n))
             rep = minkowski_reduce(g)
             assert rep.iterations <= g.n
@@ -545,7 +546,7 @@ class TestGreedy:
         assert rep.reduced[0, 0] == 3
 
     def test_example9_all_unit(self):
-        rep = greedy_minkowski_basis(example9_gram())
+        rep = greedy_minkowski_basis(named_lattice("example9"))
         assert rep.reduced.diagonal() == (F(1),) * 9
         assert int_determinant(rep.transform) in (1, -1)
 
@@ -660,8 +661,8 @@ SKEWED_Z9 = (
 )
 
 
-def _gso_check(g, delta):
-    """Exact rational verifier: size-reduced and Lovasz condition at delta."""
+def _gso_check(g):
+    """Exact rational verifier: size-reduced and Lovasz condition at 3/4."""
     n = g.n
     mu = [[F(0)] * n for _ in range(n)]
     bstar = [F(0)] * n
@@ -676,7 +677,7 @@ def _gso_check(g, delta):
         for j in range(i):
             assert 2 * abs(mu[i][j]) <= 1
     for k in range(1, n):
-        assert bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]
+        assert bstar[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
 
 
 class TestLLL:
@@ -686,38 +687,22 @@ class TestLLL:
         assert rep.iterations == 0
 
     def test_4_3_3_5_golden(self):
-        rep = lll_reduce(GramMatrix([[4, 3], [3, 5]]), F(3, 4))
+        rep = lll_reduce(GramMatrix([[4, 3], [3, 5]]))
         assert rep.reduced[0, 0] <= 4
         assert rep.reduced.rows == ((F(4), F(-1)), (F(-1), F(3)))
-
-    def test_delta_range(self):
-        g = GramMatrix(identity_matrix(2))
-        for bad in (F(1, 4), F(0), F(5, 4)):
-            with pytest.raises(ValueError):
-                lll_reduce(g, bad)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_output_is_lll_reduced(self, seed):
         rng = random.Random(seed + 3000)
         n = rng.randint(2, 5)
         g, _, _ = skewed_orthogonal_gram(rng, n)
-        delta = rng.choice([F(3, 4), F(99, 100), F(1, 2)])
-        rep = lll_reduce(g, delta)
+        rep = lll_reduce(g)
         assert apply_transform(g, rep.transform) == rep.reduced
-        assert determinant(rep.reduced.rows) == determinant(g.rows)
-        _gso_check(rep.reduced, delta)
-        t, _, d, lam = lll_transform(g.scaled()[0], delta)
+        assert frac_det_gauss(rep.reduced.rows) == frac_det_gauss(g.rows)
+        _gso_check(rep.reduced)
+        t, _, d, lam = lll_transform(g.scaled()[0])
         assert t == rep.transform
         assert (d, lam) == integral_gram_schmidt(transform_gram_int(g.scaled()[0], t))
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_delta_1_2dim_matches_minkowski(self, seed):
-        rng = random.Random(seed + 4000)
-        g, _, _ = skewed_orthogonal_gram(rng, 2)
-        rep = lll_reduce(g, F(1))
-        mk = minkowski_reduce(g)
-        assert rep.reduced.diagonal() == mk.reduced.diagonal()
-        assert abs(rep.reduced[0, 1]) == abs(mk.reduced[0, 1])
 
 
 # The witness hermite_witness_search returns on example9-mnh, after 65 nodes.
@@ -750,7 +735,7 @@ class TestHermiteWitness:
         assert folds and set(folds) == {1}  # the DFS folds each node's vector once
 
     def test_example9_witness_found(self):
-        g = example9_reduced_not_hermite()
+        g = named_lattice("example9-mnh")
         out = hermite_witness_search(g, budget=100_000)
         assert out.found
         assert out.profile == (F(1),) * 9
@@ -767,7 +752,7 @@ class TestHermiteWitness:
         assert sm.norms == (3, 4)
 
     def test_budget_runs_out_before_the_witness(self):
-        g = example9_reduced_not_hermite()
+        g = named_lattice("example9-mnh")
         full = hermite_witness_search(g, budget=100_000)
         assert full.found
         cut = hermite_witness_search(g, budget=full.nodes - 1)
@@ -781,6 +766,7 @@ class TestHermiteWitness:
             lam, _ = lattice_minimum(g)
             if all(g[i, i] == lam for i in range(g.n)):
                 assert not hermite_witness_search(g, budget=5000).found
+
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,34 @@ class TestRelevantCandidates:
         assert again == {c.coords for c in cands}
 
 
+class TestColumnFacts:
+    """The facts the one-pass expansion and classify_centering rely on."""
+
+    def test_every_column_holds_a_1(self):
+        # so every sign image has gcd 1: the expansion needs no gcd filter
+        assert all(1 in col for col in REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS)
+
+    def test_column_norms_are_distinct(self):
+        # so no image comes from two columns, and the norm alone orders them
+        norms = [sum(x * x for x in col) for col in REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS]
+        assert len(set(norms)) == len(norms)
+
+    @pytest.mark.parametrize("expand", [tammela_reduction_candidates, relevant_vector_candidates])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_candidates_primitive_canonical_once_in_order(self, expand, n):
+        cands = [c.coords for c in expand(n)]
+        assert len(set(cands)) == len(cands)
+        assert all(gcd(*v) == 1 and canonical_sign(v) == v for v in cands)
+        # (pivot, column norm, coords): an image's norm is its column's
+        keys = [(c.pivot, sum(x * x for x in c.coords), c.coords) for c in expand(n)]
+        assert keys == sorted(keys)
+
+    def test_class_has_v_minus_1_nontrivial_reps(self):
+        # so data that matches a class on V matches it on the number of reps
+        for cls in CENTERING_CLASSES:
+            assert len(class_rep_set(cls)) + 1 == cls.V
+
+
 class TestCenteringClasses:
     def test_counts_per_dimension(self):
         assert len(centering_classes(2)) == 1
