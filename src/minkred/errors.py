@@ -23,15 +23,13 @@ class NotSymmetricError(LatticeError, ValueError):
 class NotPositiveDefiniteError(LatticeError, ValueError):
     """A form required to be positive definite is not.
 
-    ``pivot_index`` is the 0-based index of the first non-positive
-    LDL pivot.
+    ``pivot_index`` is the 0-based index of the first non-positive LDL
+    pivot, the one integral_gram_schmidt names.
     """
 
-    def __init__(self, pivot_index, message=None):
+    def __init__(self, pivot_index):
         self.pivot_index = pivot_index
-        super().__init__(
-            message or f"form is not positive definite (pivot {pivot_index} <= 0)"
-        )
+        super().__init__(f"form is not positive definite (pivot {pivot_index} <= 0)")
 
 
 class InvalidInputError(LatticeError, ValueError):
@@ -59,14 +57,9 @@ class NotReducedError(LatticeError, ValueError):
 
 
 class ReductionCapError(LatticeError, RuntimeError):
-    """A reduction loop exceeded its iteration cap (treated as a bug).
+    """A reduction loop exceeded its iteration cap.
 
-    Nothing in minkred raises it now: reduction is one greedy pass with no
-    loop to cap. It is kept because the benchmark's gate test raises it by
-    name (bench/test_bench.py). Carries the trace of fixes applied so far
-    for post-mortem.
+    Nothing in minkred raises it: reduction is one greedy pass with no loop
+    to cap. It stays because the benchmark's gate test raises it by name
+    (bench/test_bench.py).
     """
-
-    def __init__(self, trace, message=None):
-        self.trace = trace
-        super().__init__(message or f"iteration cap exceeded after {len(trace)} fixes")

@@ -259,9 +259,10 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     input profile entry by entry, and the first position that can be
     strictly undercut yields a witness (any completion works). A child
     folds its vector into its parent's completion; complete_to_basis
-    builds the witness. Finding a witness proves the input basis is not
-    Hermite-reduced; exhausting the budget, an int >= 0 (the rule of
-    :func:`exactlin._int_rows`), proves nothing.
+    builds the witness. The search stops before a node past the budget, an
+    int >= 0 (the rule of :func:`exactlin._int_rows`), and reports at most
+    budget nodes. Finding a witness proves the input basis is not
+    Hermite-reduced; a search without one proves nothing.
     """
     ((budget,),) = _int_rows(((budget,),), 1, "hermite_witness_search")
     if budget < 0:
@@ -271,11 +272,6 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled
     view = _reduced_view(g)
     cands = list(_by_norm(view, _enumerate_core(view, targets[-1], 1)))
-    if not cands or cands[0][0] >= targets[-1]:
-        # nothing strictly shorter than the longest profile entry exists,
-        # so no profile can beat this one
-        return WitnessSearchResult(None, None, 0, budget)
-
     nodes = 0
 
     def dfs(prefix, completion):
@@ -285,23 +281,20 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
         level = len(prefix)
         target, tail = targets[level], completion[1]
         for q, v in cands:
-            if q > target:
-                break
+            if q > target or nodes == budget:
+                return None
             nodes += 1
-            if nodes > budget:
-                return "budget"
             if gcd(*mat_vec(tail, v)) == 1:
                 if q < target:
                     return complete_to_basis(prefix + [v], n)
-                if level + 1 == n:
-                    continue  # full profile tie, not a witness
-                out = dfs(prefix + [v], _completion([v], n, completion))
-                if out is not None:
-                    return out
+                if level + 1 < n:  # a full profile tie is not a witness
+                    out = dfs(prefix + [v], _completion([v], n, completion))
+                    if out is not None:
+                        return out
         return None
 
-    out = dfs([], (identity_matrix(n), identity_matrix(n)))
-    if out is None or out == "budget":
-        return WitnessSearchResult(None, None, min(nodes, budget), budget)
-    profile = tuple(sorted(evaluate_form(g, col) for col in zip(*out)))
+    # without a vector strictly shorter than the longest profile entry, no
+    # profile can beat this one
+    out = dfs([], (identity_matrix(n),) * 2) if cands[0][0] < targets[-1] else None
+    profile = None if out is None else tuple(sorted(evaluate_form(g, col) for col in zip(*out)))
     return WitnessSearchResult(out, profile, nodes, budget)

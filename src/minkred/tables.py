@@ -1,9 +1,10 @@
 """The three finite tables driving everything in dimensions 2..6: the
 reduction-condition candidate columns, the Dirichlet-Voronoi relevant-vector
-candidate columns, and the admissible-centering classes, plus the expansion
-of raw columns into explicit coordinate-vector sets. The expansion relies on
-two facts of the columns, both pinned by the tests: each holds a 1, and no
-two have the same norm.
+candidate columns, and the admissible-centering classes. Only the reduction
+columns are expanded into explicit coordinate vectors; the expansion relies
+on two facts of the columns, both pinned by the tests: each holds a 1, and
+no two have the same norm. The relevant-vector table is held only as its
+absolute-coordinate patterns, the set the Voronoi certificate reads.
 
 Raw column data is transcribed verbatim; a golden listing under docs/ guards
 against transcription slips.
@@ -56,7 +57,7 @@ REDUCTION_COLUMNS: tuple[tuple[int, ...], ...] = (
 
 # Relevant-vector candidates: the reduction columns are the first part; the
 # second and third parts below extend them. One second-part column ends in
-# the undetermined symbol m and is excluded from expansion (the exclusion is
+# the undetermined symbol m and is left out of the patterns (the exclusion is
 # surfaced by dump_tables so reports stay honest about it).
 RELEVANT_EXTRA_COLUMNS: tuple[tuple[int, ...], ...] = (
     # part two, columns 1..8 (column 9 is the excluded m-column)
@@ -158,16 +159,16 @@ def _pivot(coords) -> int:
 
 
 @lru_cache(maxsize=None)
-def _expand_columns(columns, n):
-    """Every sign/permutation image of the columns with at most n nonzero
-    entries, in n coordinates and canonical sign, sorted by (pivot, column
-    norm, coordinates).
+def _expand_columns(n):
+    """Every sign/permutation image of the reduction columns with at most n
+    nonzero entries, in n coordinates and canonical sign, sorted by (pivot,
+    column norm, coordinates).
 
     Every column holds a 1, so each image has gcd 1; the columns have
     pairwise distinct norms, so no image comes from two columns and the
     norm alone orders them."""
     ranked = []
-    for column in columns:
+    for column in REDUCTION_COLUMNS:
         nonzero = [x for x in column if x]
         if len(nonzero) > n:
             continue
@@ -185,23 +186,15 @@ def _expand_columns(columns, n):
 def tammela_reduction_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
     """Expanded reduction-condition candidates for dimension n (2..6),
     sorted by (pivot, source column norm, coordinates)."""
-    return _expand_columns(REDUCTION_COLUMNS, _check_dim(n, "tammela_reduction_candidates"))
-
-
-def relevant_vector_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
-    """Expanded relevant-vector candidates for dimension n (2..6); a
-    superset of the reduction candidates. The m-bearing column is excluded."""
-    n = _check_dim(n, "relevant_vector_candidates")
-    return _expand_columns(REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS, n)
+    return _expand_columns(_check_dim(n, "tammela_reduction_candidates"))
 
 
 def relevant_abs_patterns(n: int) -> frozenset:
-    """Sorted absolute-coordinate tuples of all relevant candidates; the
-    membership test set for Voronoi certification.
-
-    Read from the columns, not their expansion: a column with at most n
-    nonzero entries gives the pattern of its n largest entries, and every
-    column holds a 1, so some sign image of it has gcd 1."""
+    """Table 4 in dimension n (2..6), the set the Voronoi certificate reads:
+    the sorted absolute-coordinate tuples of every sign/permutation image of
+    the reduction and relevant columns (the m-column excluded). A column with
+    at most n nonzero entries gives the pattern of its n largest entries; it
+    holds a 1, so some sign image of it has gcd 1."""
     return _abs_patterns(_check_dim(n, "relevant_abs_patterns"))
 
 
@@ -267,18 +260,19 @@ def tail_gcd_index(coords) -> Optional[int]:
 
 
 def dump_tables(n: int) -> str:
-    """Deterministic text listing of both expanded candidate sets, for
-    diffing against the golden copy under docs/."""
+    """Deterministic text listing of the expanded reduction candidates and
+    the relevant-vector patterns, for diffing against the golden copy under
+    docs/."""
     n = _check_dim(n, "dump_tables")
     lines = [f"dimension {n}"]
     red = tammela_reduction_candidates(n)
-    rel = relevant_vector_candidates(n)
+    patterns = sorted(relevant_abs_patterns(n))
     lines.append(f"reduction candidates: {len(red)}")
     for c in sorted(red, key=lambda c: c.coords):
         lines.append("  " + " ".join(str(x) for x in c.coords))
-    lines.append(f"relevant-vector candidates: {len(rel)}")
-    for c in sorted(rel, key=lambda c: c.coords):
-        lines.append("  " + " ".join(str(x) for x in c.coords))
+    lines.append(f"relevant-vector patterns: {len(patterns)}")
+    for p in patterns:
+        lines.append("  " + " ".join(str(x) for x in p))
     for col in EXCLUDED_M_COLUMNS:
         pretty = ",".join("m" if x is None else str(x) for x in col)
         lines.append(f"excluded column ({pretty}): undetermined symbol m")

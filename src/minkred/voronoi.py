@@ -58,8 +58,8 @@ def relevant_vectors(g: GramMatrix) -> RelevantVectorSet:
 
 
 def check_table4_membership(g: GramMatrix) -> Table4Report:
-    """Verify every relevant vector's |coordinate| multiset appears among
-    the expanded relevant-vector candidates (Minkowski-reduced basis,
+    """Verify every relevant vector's |coordinate| multiset is a pattern of
+    Table 4, tables.relevant_abs_patterns (Minkowski-reduced basis,
     dimensions 2..6). Mismatches are reported, never suppressed."""
     n = g.n
     verdict = is_minkowski_reduced_table(g)

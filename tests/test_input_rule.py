@@ -40,7 +40,6 @@ from minkred.tables import (
     dump_tables,
     max_theorem_bound,
     relevant_abs_patterns,
-    relevant_vector_candidates,
     tammela_reduction_candidates,
 )
 
@@ -153,7 +152,6 @@ def test_integral_budget_passes_as_int():
 # the table dimension of every table entry point: n -> its result
 TABLE_ENTRIES = {
     "tammela_reduction_candidates": tammela_reduction_candidates,
-    "relevant_vector_candidates": relevant_vector_candidates,
     "relevant_abs_patterns": relevant_abs_patterns,
     "centering_classes": centering_classes,
     "max_theorem_bound": max_theorem_bound,

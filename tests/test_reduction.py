@@ -40,6 +40,7 @@ from _generators import (
 from _oracles import (
     brute_first_violation,
     brute_greedy_basis,
+    eval_q,
     first_nonpositive_minor,
     flat_table_first_violation,
     frac_det_gauss,
@@ -766,6 +767,27 @@ class TestHermiteWitness:
             lam, _ = lattice_minimum(g)
             if all(g[i, i] == lam for i in range(g.n)):
                 assert not hermite_witness_search(g, budget=5000).found
+
+    def test_generic_witnesses_check_out(self):
+        # skewed and reduced generic forms; every witness is checked with
+        # the oracles, not with the library
+        outcomes = set()
+        for seed in range(8):
+            for n in range(2, 6):
+                rng = random.Random(7000 + 10 * seed + n)
+                g = apply_transform(random_pd_gram(rng, n), random_unimodular(rng, n, ops=2, coeff=2))
+                for form in (g, minkowski_reduce(g).reduced):
+                    out = hermite_witness_search(form, budget=5000)
+                    assert out.nodes <= out.budget == 5000
+                    outcomes.add(out.found)
+                    if not out.found:
+                        assert out.profile is None
+                        continue
+                    assert abs(frac_det_gauss(out.basis)) == 1
+                    columns = list(zip(*out.basis))
+                    assert out.profile == tuple(sorted(eval_q(form.rows, c) for c in columns))
+                    assert out.profile < tuple(sorted(form[i, i] for i in range(n)))
+        assert outcomes == {True, False}
 
 
 

@@ -16,7 +16,6 @@ from minkred.tables import (
     dump_tables,
     max_theorem_bound,
     relevant_abs_patterns,
-    relevant_vector_candidates,
     tail_gcd_index,
     tammela_reduction_candidates,
 )
@@ -86,17 +85,17 @@ class TestReductionCandidates:
             assert all(x == 0 for x in c.coords[c.pivot + 1 :])
 
 
+def _patterns(vectors):
+    return {tuple(sorted(map(abs, v))) for v in vectors}
+
+
 class TestRelevantCandidates:
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_superset_of_reduction(self, n):
-        red = {c.coords for c in tammela_reduction_candidates(n)}
-        rel = {c.coords for c in relevant_vector_candidates(n)}
-        assert red <= rel
+    """Table 4 as the Voronoi certificate reads it: its patterns."""
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_matches_oracle(self, n):
-        got = {c.coords for c in relevant_vector_candidates(n)}
-        assert got == oracle_expand(REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS, n)
+    def test_superset_of_reduction(self, n):
+        red = _patterns(c.coords for c in tammela_reduction_candidates(n))
+        assert red <= relevant_abs_patterns(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_abs_patterns_match_oracle(self, n):
@@ -104,30 +103,26 @@ class TestRelevantCandidates:
         assert relevant_abs_patterns(n) == {tuple(sorted(map(abs, v))) for v in expanded}
 
     def test_max_coordinates_dims_5_and_6(self):
-        assert max(abs(x) for c in relevant_vector_candidates(6) for x in c.coords) == 4
-        assert max(abs(x) for c in relevant_vector_candidates(5) for x in c.coords) == 3
+        assert max(p[-1] for p in relevant_abs_patterns(6)) == 4
+        assert max(p[-1] for p in relevant_abs_patterns(5)) == 3
 
     def test_n2_extras_are_unit_patterns_only(self):
-        # beyond the reduction candidates only the single-entry column
+        # beyond the reduction patterns only the single-entry column
         # contributes in dimension 2 (all other extra columns have >= 3
         # nonzero entries)
-        red = {c.coords for c in tammela_reduction_candidates(2)}
-        rel = {c.coords for c in relevant_vector_candidates(2)}
-        assert rel - red == {(1, 0), (0, 1)}
+        red = _patterns(c.coords for c in tammela_reduction_candidates(2))
+        assert relevant_abs_patterns(2) - red == {(0, 1)}
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_monotone_under_embedding(self, n):
-        lower = {c.coords + (0,) for c in relevant_vector_candidates(n)}
-        upper = {c.coords for c in relevant_vector_candidates(n + 1)}
-        assert lower <= upper
+        assert {(0,) + p for p in relevant_abs_patterns(n)} <= relevant_abs_patterns(n + 1)
         lower_red = {c.coords + (0,) for c in tammela_reduction_candidates(n)}
         assert lower_red <= {c.coords for c in tammela_reduction_candidates(n + 1)}
 
     def test_expansion_idempotent(self):
-        # re-expanding the expanded set changes nothing
-        cands = relevant_vector_candidates(4)
-        again = oracle_expand([c.coords for c in cands], 4)
-        assert again == {c.coords for c in cands}
+        # expanding the patterns as columns gives back the same patterns
+        patterns = relevant_abs_patterns(4)
+        assert _patterns(oracle_expand(patterns, 4)) == patterns
 
 
 class TestColumnFacts:
@@ -142,7 +137,7 @@ class TestColumnFacts:
         norms = [sum(x * x for x in col) for col in REDUCTION_COLUMNS + RELEVANT_EXTRA_COLUMNS]
         assert len(set(norms)) == len(norms)
 
-    @pytest.mark.parametrize("expand", [tammela_reduction_candidates, relevant_vector_candidates])
+    @pytest.mark.parametrize("expand", [tammela_reduction_candidates])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_candidates_primitive_canonical_once_in_order(self, expand, n):
         cands = [c.coords for c in expand(n)]
