@@ -19,9 +19,10 @@ from .errors import DependentVectorsError, DimensionMismatchError, NotReducedErr
 from .exactlin import GramMatrix, _int_rows, int_determinant
 from .reduction import is_minkowski_reduced_table
 from .tables import (
+    CENTERING_CLASSES,
     CenteringClass,
+    _check_dim,
     _span_mod_1,
-    centering_classes,
     class_rep_set,
     max_theorem_bound,
 )
@@ -75,15 +76,15 @@ def centering_data(sub_basis: Sequence[Sequence[int]]) -> CenteringData:
 
 def classify_centering(data: CenteringData) -> Optional[CenteringClass]:
     """Match against the admissible-centering table, up to coordinate
-    permutation; None means "unknown" (not an admissible centering of a
-    minimum parallelepiped, or outside the table). The dimension is that
-    of the zero row, which every CenteringData holds. A class with the
-    data's V has V - 1 nonzero representatives, as the data has, so the
-    sets are compared only under permutation."""
-    n = len(data.coset_reps[0])
+    permutation; None means "unknown", not an admissible centering of a
+    minimum parallelepiped. The dimension n is that of the zero row, which
+    every CenteringData holds; n outside 2..6 raises UnsupportedDimensionError.
+    A class with the data's V has V - 1 nonzero representatives, as the
+    data has, so the sets are compared only under permutation."""
+    n = _check_dim(len(data.coset_reps[0]), "classify_centering")
     observed = frozenset(rep for rep in data.coset_reps if any(rep))
-    for cls in centering_classes(n):
-        if cls.U != data.denominator_U or cls.V != data.index_V:
+    for cls in CENTERING_CLASSES:
+        if (cls.dimension, cls.U, cls.V) != (n, data.denominator_U, data.index_V):
             continue
         want = class_rep_set(cls)
         for perm in permutations(range(n)):
@@ -96,7 +97,7 @@ def check_theorem_bound(g: GramMatrix) -> TheoremReport:
     """Enumerate every minimum vector of a reduced form and compare the
     largest |coordinate| against the table-derived bound. A counterexample
     would falsify the coordinate-bound theorem and is reported loudly."""
-    n = g.n
+    n = _check_dim(g.n, "check_theorem_bound")
     verdict = is_minkowski_reduced_table(g)
     if verdict is not True:
         raise NotReducedError(f"form is not Minkowski-reduced: {verdict}")

@@ -1,7 +1,9 @@
 """Fixture lattices: the registry of named test lattices.
 
 Every fixture is reached by its name through :func:`named_lattice`, which
-builds it once. The 9-dimensional worked example is there twice: as
+builds it once: Z1..Z9, A2..A6, D3..D6, E6..E8, D4-centered-cubic, example9
+and example9-mnh. D_n and E_n are the Cartan matrices of their Dynkin
+diagrams. The 9-dimensional worked example is there twice: as
 ``example9``, the Gram matrix of the 12x9 basis matrix below, and as
 ``example9-mnh``, the Minkowski-reduced but not Hermite-reduced companion
 obtained by swapping in the two starred vectors.
@@ -47,27 +49,14 @@ def _a_gram(n):
     return [[2 if i == j else 1 for j in range(n)] for i in range(n)]
 
 
-def _d_basis(n):
-    # columns: e_i - e_{i+1} for i < n, plus e_{n-1} + e_n
-    cols = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        cols.append(v)
-    v = [0] * n
-    v[n - 2], v[n - 1] = 1, 1
-    cols.append(v)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def _dynkin(n, branch):
+    """Cartan matrix of the chain 0..n-2 with node n-1 joined to branch:
+    D_n at branch n-3, E_n at branch 2."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in [(i, i + 1) for i in range(n - 2)] + [(branch, n - 1)]:
+        rows[i][j] = rows[j][i] = -1
+    return GramMatrix(rows)
 
-
-_E6_GRAM = (
-    (2, -1, 0, 0, 0, 0),
-    (-1, 2, -1, 0, 0, 0),
-    (0, -1, 2, -1, 0, -1),
-    (0, 0, -1, 2, -1, 0),
-    (0, 0, 0, -1, 2, 0),
-    (0, 0, -1, 0, 0, 2),
-)
 
 _D4_CENTERED_CUBIC = (
     (1, 0, 0, _H),
@@ -88,8 +77,8 @@ _BUILDERS = {
     **{f"Z{n}": (lambda n=n: GramMatrix([[int(i == j) for j in range(n)] for i in range(n)]))
        for n in range(1, 10)},
     **{f"A{n}": (lambda n=n: GramMatrix(_a_gram(n))) for n in range(2, 7)},
-    **{f"D{n}": (lambda n=n: gram_from_basis(_d_basis(n))) for n in range(3, 7)},
-    "E6": lambda: GramMatrix(_E6_GRAM),
+    **{f"D{n}": (lambda n=n: _dynkin(n, n - 3)) for n in range(3, 7)},
+    **{f"E{n}": (lambda n=n: _dynkin(n, 2)) for n in range(6, 9)},
     "D4-centered-cubic": lambda: GramMatrix(_D4_CENTERED_CUBIC),
     "example9": lambda: gram_from_basis(EXAMPLE9_MATRIX),
     "example9-mnh": _example9_mnh,
@@ -99,8 +88,8 @@ _BUILDERS = {
 def named_lattice(name: str) -> GramMatrix:
     """Gram matrix of a named test lattice, one GramMatrix per name.
 
-    Registry: Z1..Z9, A2..A6, D3..D6, E6, D4-centered-cubic, example9,
-    example9-mnh, spelled exactly so. A name that is not a str raises
+    Registry: Z1..Z9, A2..A6, D3..D6, E6..E8, D4-centered-cubic, example9
+    and example9-mnh, spelled exactly so. A name that is not a str raises
     InvalidInputError and any other str KeyError.
     """
     if not isinstance(name, str):

@@ -6,22 +6,23 @@ Gram-Schmidt quantities (d, lambda) of the scaled integer Gram matrix
 j carries one integer, N_j = d[j] times the squared length of x's
 projection orthogonal to the first j basis vectors, which is a Gram
 determinant; one level down, N_j = (d[j] N_{j+1} + w_j^2) / d[j+1]
-divides exactly, and x_j's range is one integer square root of a number
-about the size of d[j] d[j+1] bound, so no decision ever touches floating
-point and no intermediate grows with the depth. A leaf's norm is N_0, an
-integer; the range is exact, so every leaf lies in the ball and none is
-checked again. Every search runs on
-the LLL view of the form, built once per GramMatrix and cached on it, and
-witnesses are mapped back, which changes nothing observable. The view
-keeps the d and lambda that LLL ends with, so no search recomputes them.
-The core has no modes: every search reads one plain ball.
+divides exactly. x_j's range is one integer square root of a number below
+d[j] d[j+1] bound, so no decision ever touches floating point and no
+intermediate grows with the depth. A leaf's norm is N_0, an integer at
+least every level's N_j / d[j], so the radius is one int, the floor of a
+rational bound; the range is exact, so every leaf lies in the ball and
+none is checked again. Every search runs on the LLL view of the form,
+built once per GramMatrix and cached on it, and witnesses are mapped
+back, which changes nothing observable. The view keeps the d and lambda
+that LLL ends with, so no search recomputes them. The core has no modes:
+every search reads one plain ball.
 
 Every public vector list leaves the view through _by_exact_norm: its
 entry point picks, in integers, the leaves (coords, q) it returns, and
 only those are mapped back, sorted by (q, v) and given Fraction norms.
 A shortest vector under a side condition (tail gcd 1, primitive extension,
 independence) is read from one lazy stream, _in_norm_order: Fincke-Pohst
-balls of doubling radius in Schnorr-Euchner norm order, each norm layer
+balls of doubling radius, each sorted by norm and each norm layer
 mapped back only when a search reaches it. The classes of L/2L are read
 from one ball, _coset_bins: its leaves, in norm order, are binned in
 integers by their parity y & 1 in the view's coordinates (which fixes
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
@@ -101,10 +102,9 @@ def vector_key(coords):
 # ---------------------------------------------------------------------------
 # core enumeration
 
-def _enumerate_core(view, bound_num, bound_den):
-    """All nonzero x with x^T A x <= bound = bound_num / bound_den >= 0 (one
-    representative per +-pair), for A = view.a_red, pruned with the view's
-    d and lambda.
+def _enumerate_core(view, bound):
+    """All nonzero x with x^T A x <= bound, an int >= 0 (one representative
+    per +-pair), for A = view.a_red, pruned with the view's d and lambda.
 
     Returns a list of (coords, q) with q = x^T A x an int. With w_k =
     sum_{i>=k} lam[i][k] x_i (lam[k][k] = d[k+1]), the squared length of
@@ -113,11 +113,10 @@ def _enumerate_core(view, bound_num, bound_den):
     Algebraic Number Theory, 2.6.3). Level j carries N_j = d[j] S_j, the
     Gram determinant of those j vectors and x, an integer; so
     N_j = (d[j] N_{j+1} + w_j^2) / d[j+1] divides exactly. x_j is kept iff
-    N_j <= d[j] bound, that is iff w_j^2 <= floor(d[j] (bound_num d[j+1] -
-    bound_den N_{j+1}) / bound_den), the floor of a non-negative number
-    below d[j] d[j+1] bound_num: the range of x_j is one isqrt and two
-    floor divisions. A leaf's q is N_0 (d[0] = 1), so no leaf is evaluated
-    or checked again.
+    N_j <= d[j] bound, that is iff w_j^2 <= d[j] (bound d[j+1] - N_{j+1}),
+    a non-negative integer below d[j] d[j+1] bound: the range of x_j is one
+    isqrt and two floor divisions. A leaf's q is N_0 (d[0] = 1), so no leaf
+    is evaluated or checked again.
     """
     d, lam = view.d, view.lam
     n = len(lam)
@@ -128,7 +127,7 @@ def _enumerate_core(view, bound_num, bound_den):
     def descend(j, above, tail_zero):
         # above = N_{j+1}; every x_j in [lo, hi] has N_j <= d[j] bound
         dj, dj1 = d[j], d[j + 1]
-        g = isqrt(dj * (bound_num * dj1 - bound_den * above) // bound_den)
+        g = isqrt(dj * (bound * dj1 - above))
         lam_j = lam_cols[j]
         c = 0
         for i in range(j + 1, n):
@@ -196,7 +195,7 @@ def _in_norm_order(view: _ReducedView, cap):
     radius, done = min(view.a_red[i][i] for i in range(len(view.a_red))), 0
     while done < cap():
         radius = min(radius, cap())
-        yield from _by_norm(view, _enumerate_core(view, radius, 1), done)
+        yield from _by_norm(view, _enumerate_core(view, radius), done)
         done, radius = radius, 2 * radius
 
 
@@ -220,8 +219,7 @@ def enumerate_short_vectors(g: GramMatrix, bound) -> ShortVectorList:
     if bound <= 0:
         raise InvalidInputError(f"enumerate_short_vectors: bound must be positive, got {bound}")
     view = _reduced_view(g)
-    scaled = bound * view.den
-    raw = _enumerate_core(view, scaled.numerator, scaled.denominator)
+    raw = _enumerate_core(view, floor(bound * view.den))
     return ShortVectorList(bound, _by_exact_norm(view, raw))
 
 
@@ -229,7 +227,7 @@ def lattice_minimum(g: GramMatrix):
     """(lambda^2, minima): the exact nonzero minimum of Q and every
     attaining vector up to sign, from one ball of the least view diagonal."""
     view = _reduced_view(g)
-    raw = _enumerate_core(view, min(view.a_red[i][i] for i in range(len(view.a_red))), 1)
+    raw = _enumerate_core(view, min(view.a_red[i][i] for i in range(len(view.a_red))))
     least = min(q for _, q in raw)
     minima = _by_exact_norm(view, [leaf for leaf in raw if leaf[1] == least])
     return minima[0][1], ShortVectorList(minima[0][1], minima)
@@ -366,7 +364,7 @@ def _coset_bins(view: _ReducedView):
     in the view's coordinates with q an int; ties at the norm that fills
     the last class are kept."""
     n, top, bins = len(view.a_red), _signed_radius(view.a_red), {}
-    for coords, q in sorted(_enumerate_core(view, top, 1), key=itemgetter(1)):
+    for coords, q in sorted(_enumerate_core(view, top), key=itemgetter(1)):
         if q > top:
             break
         key = tuple(x & 1 for x in coords)

@@ -57,7 +57,7 @@ from .exactlin import (
     mat_vec,
     transform_gram_int,
 )
-from .tables import tail_gcd_index, tammela_reduction_candidates
+from .tables import _check_dim, tail_gcd_index, tammela_reduction_candidates
 
 F = Fraction
 
@@ -80,7 +80,6 @@ class WitnessSearchResult(NamedTuple):
     basis: Optional[IntMatrix]               # columns = witness basis, or None
     profile: Optional[tuple[Fraction, ...]]  # sorted squared lengths of the witness
     nodes: int
-    budget: int
 
     @property
     def found(self) -> bool:
@@ -160,7 +159,7 @@ def is_minkowski_reduced_table(g: GramMatrix) -> Union[bool, Violation]:
     and check_table4_membership read it instead of evaluating again; an
     equal but distinct GramMatrix evaluates afresh.
     """
-    _check_list(g.n)  # raises UnsupportedDimensionError outside 2..6
+    _check_dim(g.n, "is_minkowski_reduced_table")
     verdict = object.__getattribute__(g, "_table")
     if verdict is None:
         a, den = g.scaled()
@@ -271,7 +270,7 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     a = g.scaled()[0]
     targets = sorted(a[i][i] for i in range(n))  # profile, scaled
     view = _reduced_view(g)
-    cands = list(_by_norm(view, _enumerate_core(view, targets[-1], 1)))
+    cands = list(_by_norm(view, _enumerate_core(view, targets[-1])))
     nodes = 0
 
     def dfs(prefix, completion):
@@ -297,4 +296,4 @@ def hermite_witness_search(g: GramMatrix, budget: int = 100_000) -> WitnessSearc
     # profile can beat this one
     out = dfs([], (identity_matrix(n),) * 2) if cands[0][0] < targets[-1] else None
     profile = None if out is None else tuple(sorted(evaluate_form(g, col) for col in zip(*out)))
-    return WitnessSearchResult(out, profile, nodes, budget)
+    return WitnessSearchResult(out, profile, nodes)

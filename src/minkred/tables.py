@@ -6,8 +6,8 @@ on two facts of the columns, both pinned by the tests: each holds a 1, and
 no two have the same norm. The relevant-vector table is held only as its
 absolute-coordinate patterns, the set the Voronoi certificate reads.
 
-Raw column data is transcribed verbatim; a golden listing under docs/ guards
-against transcription slips.
+Raw column data is transcribed verbatim; a golden listing under docs/, which
+shows each column as its pattern, guards against transcription slips.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ MAX_TABLE_DIM = 6
 
 
 class ExpandedCandidate(NamedTuple):
+    """One reduction candidate; a record, as bench/metrics.py reads .coords."""
     coords: tuple[int, ...]   # n-dimensional, canonical sign, gcd 1
-    pivot: int                # largest 0-based index with nonzero coordinate
 
 
 class CenteringClass(NamedTuple):
@@ -139,7 +139,7 @@ def _check_dim(n, entry: str) -> int:
     ((n,),) = _int_rows(((n,),), 1, entry)
     if not (MIN_TABLE_DIM <= n <= MAX_TABLE_DIM):
         raise UnsupportedDimensionError(
-            f"tables cover dimensions {MIN_TABLE_DIM}..{MAX_TABLE_DIM}, got {n}"
+            f"{entry}: tables cover dimensions {MIN_TABLE_DIM}..{MAX_TABLE_DIM}, got {n}"
         )
     return n
 
@@ -180,7 +180,7 @@ def _expand_columns(n):
         }
         ranked.extend((_pivot(v), norm, v) for v in images)
     ranked.sort()
-    return tuple(ExpandedCandidate(v, pivot) for pivot, _, v in ranked)
+    return tuple(ExpandedCandidate(v) for *_, v in ranked)
 
 
 def tammela_reduction_candidates(n: int) -> tuple[ExpandedCandidate, ...]:
@@ -260,19 +260,18 @@ def tail_gcd_index(coords) -> Optional[int]:
 
 
 def dump_tables(n: int) -> str:
-    """Deterministic text listing of the expanded reduction candidates and
-    the relevant-vector patterns, for diffing against the golden copy under
-    docs/."""
+    """Deterministic text listing of dimension n's tables, for diffing with
+    the golden copy under docs/: the expanded reduction candidates' count,
+    the reduction and relevant-vector patterns, and the centerings."""
     n = _check_dim(n, "dump_tables")
-    lines = [f"dimension {n}"]
     red = tammela_reduction_candidates(n)
-    patterns = sorted(relevant_abs_patterns(n))
-    lines.append(f"reduction candidates: {len(red)}")
-    for c in sorted(red, key=lambda c: c.coords):
-        lines.append("  " + " ".join(str(x) for x in c.coords))
-    lines.append(f"relevant-vector patterns: {len(patterns)}")
-    for p in patterns:
-        lines.append("  " + " ".join(str(x) for x in p))
+    lines = [f"dimension {n}", f"reduction candidates: {len(red)}"]
+    for title, patterns in (
+        ("reduction patterns", {tuple(sorted(map(abs, c.coords))) for c in red}),
+        ("relevant-vector patterns", relevant_abs_patterns(n)),
+    ):
+        lines.append(f"{title}: {len(patterns)}")
+        lines.extend("  " + " ".join(map(str, p)) for p in sorted(patterns))
     for col in EXCLUDED_M_COLUMNS:
         pretty = ",".join("m" if x is None else str(x) for x in col)
         lines.append(f"excluded column ({pretty}): undetermined symbol m")

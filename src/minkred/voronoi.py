@@ -20,7 +20,7 @@ from .enumeration import _by_exact_norm, _coset_bins, _reduced_view
 from .errors import NotReducedError, UnsupportedDimensionError
 from .exactlin import GramMatrix, IntVector
 from .reduction import is_minkowski_reduced_table
-from .tables import relevant_abs_patterns
+from .tables import _check_dim, relevant_abs_patterns
 
 MAX_COSET_DIM = 9
 
@@ -33,7 +33,6 @@ class RelevantVectorSet(NamedTuple):
 class Table4Report(NamedTuple):
     dimension: int
     checked: int
-    matched: int
     mismatches: tuple[tuple[IntVector, Fraction], ...]
     max_abs_coordinate: int
 
@@ -50,7 +49,7 @@ def relevant_vectors(g: GramMatrix) -> RelevantVectorSet:
     """
     if g.n > MAX_COSET_DIM:
         raise UnsupportedDimensionError(
-            f"coset enumeration supported up to dimension {MAX_COSET_DIM}, got {g.n}"
+            f"relevant_vectors: coset enumeration covers n <= {MAX_COSET_DIM}, got {g.n}"
         )
     view = _reduced_view(g)
     found = _by_exact_norm(view, [leaf for leaf, *ties in _coset_bins(view) if not ties])
@@ -61,7 +60,7 @@ def check_table4_membership(g: GramMatrix) -> Table4Report:
     """Verify every relevant vector's |coordinate| multiset is a pattern of
     Table 4, tables.relevant_abs_patterns (Minkowski-reduced basis,
     dimensions 2..6). Mismatches are reported, never suppressed."""
-    n = g.n
+    n = _check_dim(g.n, "check_table4_membership")
     verdict = is_minkowski_reduced_table(g)
     if verdict is not True:
         raise NotReducedError(
@@ -69,14 +68,7 @@ def check_table4_membership(g: GramMatrix) -> Table4Report:
         )
     patterns = relevant_abs_patterns(n)
     rel = relevant_vectors(g)
-    mismatches = []
-    matched = 0
-    max_abs = 0
-    for v, q in zip(rel.vectors, rel.norms):
-        key = tuple(sorted(abs(x) for x in v))
-        max_abs = max(max_abs, key[-1])
-        if key in patterns:
-            matched += 1
-        else:
-            mismatches.append((v, q))
-    return Table4Report(n, len(rel.vectors), matched, tuple(mismatches), max_abs)
+    mismatches = tuple((v, q) for v, q in zip(rel.vectors, rel.norms)
+                       if tuple(sorted(map(abs, v))) not in patterns)
+    max_abs = max(abs(x) for v in rel.vectors for x in v)
+    return Table4Report(n, len(rel.vectors), mismatches, max_abs)

@@ -97,6 +97,25 @@ def mat_product(a, b):
                  for row in a)
 
 
+def root_orbit(rows):
+    """The roots of a simply laced Cartan matrix C, one per +- pair: the
+    orbit of the unit vectors under the simple reflections x -> x - (C x)_i
+    e_i, closed by a plain search."""
+    n = len(rows)
+    seen = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for i in range(n):
+            y = list(x)
+            y[i] -= sum(rows[i][k] * x[k] for k in range(n))
+            y = tuple(y) if next(v for v in y if v) > 0 else tuple(-v for v in y)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def eval_q(rows, x):
     """x^T G x via the bilinear expansion, independent of the library."""
     n = len(rows)

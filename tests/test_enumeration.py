@@ -92,11 +92,31 @@ class TestEnumerate:
         rng = random.Random(seed)
         n = rng.randint(2, 4)
         g = random_pd_gram(rng, n)
-        # an integer bound, then a non-integer one (the core's bound_den > 1)
+        # an integer bound, then a non-integer one (floored to the core's int radius)
         for bound in (F(rng.randint(2, 8)), F(3 * rng.randint(2, 7) + 1, 3)):
             expected = brute_short_vectors(g.rows, bound)
             got = [(v, q) for v, q in enumerate_short_vectors(g, bound).vectors]
             assert got == expected
+
+    @pytest.mark.parametrize("skew", [0, 2], ids=["generic", "skewed"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_floored_radius_at_an_attained_norm(self, n, skew):
+        # the core's radius is floor(bound * den); an attained norm q / den
+        # must come in at q / den and above, and not a third of 1 / den below
+        for seed in range(3):
+            rng = random.Random(800 + 10 * n + seed)
+            base = random_pd_gram(rng, n)
+            base = GramMatrix([[F(x, seed + 1) for x in row] for row in base.rows])
+            t = random_unimodular(rng, n, ops=skew, coeff=2)
+            g = apply_transform(base, t)
+            a, den = g.scaled()
+            q = F(min(a[i][i] for i in range(n)), den)  # the least Q(e_i), attained
+            third = F(1, 3 * den)
+            ball = _skewed_oracle(base, t, q + third)
+            for bound, attained in ((q - third, False), (q, True), (q + third, True)):
+                got = list(enumerate_short_vectors(g, bound).vectors)
+                assert got == [e for e in ball if e[1] <= bound]
+                assert any(norm == q for _, norm in got) == attained
 
     @pytest.mark.parametrize("name", ["A5", "D5", "E6"])
     def test_leaf_norms_are_exact_on_skewed_forms(self, name):
@@ -107,12 +127,12 @@ class TestEnumerate:
         g = apply_transform(base, random_unimodular(rng, base.n))
         view = _reduced_view(g)
         top = max(view.a_red[i][i] for i in range(base.n))
-        for num, den in ((top, 1), (3 * top + 1, 2)):
-            leaves = enumeration._enumerate_core(view, num, den)
+        for bound in (top, (3 * top + 1) // 2):
+            leaves = enumeration._enumerate_core(view, bound)
             assert leaves
             for x, q in leaves:
                 assert q == eval_q(view.a_red, x)
-                assert q * den <= num
+                assert q <= bound
 
     @pytest.mark.parametrize("seed", range(6))
     def test_skewed_inputs_still_complete(self, seed):
@@ -125,8 +145,8 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_skewed_inputs_still_complete_in_high_dimension(self, n):
         # A2 plus a diagonal of 3s to 5s: at the least diagonal entry 2 the
-        # box holds 25 * 3^(n-2) points. The bound 5/2 takes the core's
-        # bound_den > 1 and stops just below the diagonal's norm-3 vectors.
+        # box holds 25 * 3^(n-2) points. The bound 5/2 is floored to the
+        # core's int radius 2 and stops just below the diagonal's norm-3 vectors.
         rows = [[0] * n for _ in range(n)]
         rows[0][:2], rows[1][:2] = [2, -1], [-1, 2]
         for i in range(2, n):
@@ -137,9 +157,9 @@ class TestEnumerate:
             _assert_complete_when_skewed(base, t, bound)
 
     def test_isqrt_arguments_stay_bounded(self, monkeypatch):
-        # Each range is one isqrt of floor(d[j] (bound_num d[j+1] - bound_den
-        # N_{j+1}) / bound_den) < d[j] d[j+1] bound_num, whatever the depth,
-        # on a skewed copy of the paper's 9-dim example.
+        # Each range is one isqrt of d[j] (bound d[j+1] - N_{j+1}) < d[j]
+        # d[j+1] bound, whatever the depth, on a skewed copy of the paper's
+        # 9-dim example.
         g = apply_transform(named_lattice("example9"), random_unimodular(random.Random(9), 9, ops=18))
         view = _reduced_view(g)
         d = view.d
@@ -152,17 +172,16 @@ class TestEnumerate:
 
         monkeypatch.setattr(enumeration, "isqrt", logged)
         top = max(view.a_red[i][i] for i in range(9))
-        for num, den in ((top, 1), (3 * top + 1, 2)):
+        for bound in (top, (3 * top + 1) // 2):
             sizes.clear()
-            assert enumeration._enumerate_core(view, num, den)
+            assert enumeration._enumerate_core(view, bound)
             for j, bits in sizes:
-                assert bits <= num.bit_length() + d[j].bit_length() + d[j + 1].bit_length() + 2
+                assert bits <= bound.bit_length() + d[j].bit_length() + d[j + 1].bit_length() + 2
 
 
-def _assert_complete_when_skewed(base, t, bound):
-    """enumerate_short_vectors(T^T base T, bound) against the box oracle on
-    the unskewed base, whose box is small: Q_g(x) = Q_base(T x), so each y
-    maps to x = T^-1 y."""
+def _skewed_oracle(base, t, bound):
+    """The box oracle for T^T base T and bound, run on the unskewed base,
+    whose box is small: Q_g(x) = Q_base(T x), so each y maps to x = T^-1 y."""
     n = base.n
     t_inv = gram_inverse(t)
     expected = []
@@ -174,8 +193,13 @@ def _assert_complete_when_skewed(base, t, bound):
             x = tuple(-v for v in x)
         expected.append((x, q))
     expected.sort(key=lambda e: (e[1], e[0]))
+    return expected
+
+
+def _assert_complete_when_skewed(base, t, bound):
+    """enumerate_short_vectors(T^T base T, bound) against _skewed_oracle."""
     got = [(v, q) for v, q in enumerate_short_vectors(apply_transform(base, t), bound).vectors]
-    assert got == expected
+    assert got == _skewed_oracle(base, t, bound)
 
 
 def _record_radii(monkeypatch):
@@ -183,9 +207,9 @@ def _record_radii(monkeypatch):
     radii = []
     core = enumeration._enumerate_core
 
-    def logged(view, bound_num, *args, **kwargs):
-        radii.append(bound_num)
-        return core(view, bound_num, *args, **kwargs)
+    def logged(view, bound):
+        radii.append(bound)
+        return core(view, bound)
 
     monkeypatch.setattr(enumeration, "_enumerate_core", logged)
     return radii

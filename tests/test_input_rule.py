@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from minkred.centering import centering_data
+from minkred.centering import centering_data, check_theorem_bound, classify_centering
 from minkred.corpus import named_lattice
 from minkred.enumeration import (
     complete_to_basis,
@@ -34,7 +34,7 @@ from minkred.exactlin import (
     int_determinant,
     int_matrix_rank,
 )
-from minkred.reduction import hermite_witness_search
+from minkred.reduction import hermite_witness_search, is_minkowski_reduced_table
 from minkred.tables import (
     centering_classes,
     dump_tables,
@@ -42,6 +42,7 @@ from minkred.tables import (
     relevant_abs_patterns,
     tammela_reduction_candidates,
 )
+from minkred.voronoi import check_table4_membership
 
 A2 = named_lattice("A2")
 
@@ -175,8 +176,30 @@ def test_integral_table_dimension_passes(name, kind):
 @pytest.mark.parametrize("n", [1, 7, 7.0])
 @pytest.mark.parametrize("name", TABLE_ENTRIES)
 def test_table_dimension_out_of_range(name, n):
-    with pytest.raises(UnsupportedDimensionError, match="tables cover dimensions 2..6"):
+    with pytest.raises(UnsupportedDimensionError, match=rf"^{name}: tables cover dimensions 2\.\.6"):
         TABLE_ENTRIES[name](n)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_centering_dimension_out_of_range(n):
+    # classify_centering gates the data's dimension itself and names itself
+    data = centering_data([[(3 if i == j == 0 else int(i == j)) for j in range(n)] for i in range(n)])
+    with pytest.raises(UnsupportedDimensionError, match=rf"^classify_centering: tables cover dimensions 2\.\.6, got {n}$"):
+        classify_centering(data)
+
+
+FORM_TABLE_ENTRIES = {
+    "is_minkowski_reduced_table": is_minkowski_reduced_table,
+    "check_theorem_bound": check_theorem_bound,
+    "check_table4_membership": check_table4_membership,
+}
+
+
+@pytest.mark.parametrize("name", ["Z1", "E7"])
+@pytest.mark.parametrize("entry", FORM_TABLE_ENTRIES)
+def test_form_dimension_out_of_range_names_its_entry(entry, name):
+    with pytest.raises(UnsupportedDimensionError, match=rf"^{entry}: tables cover dimensions 2\.\.6"):
+        FORM_TABLE_ENTRIES[entry](named_lattice(name))
 
 
 @pytest.mark.parametrize("name", [3, ["Z2"], None], ids=repr)

@@ -44,6 +44,8 @@ from _oracles import (
     first_nonpositive_minor,
     flat_table_first_violation,
     frac_det_gauss,
+    mat_product,
+    root_orbit,
     table_checks,
 )
 
@@ -471,15 +473,6 @@ class TestMinkowskiReduce:
         assert rep.reduced[0, 0] == 1
 
 
-def _cartan_gram(n, edges):
-    """Cartan matrix of a simply laced Dynkin diagram: 2 on the diagonal,
-    -1 on every edge."""
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        rows[i][j] = rows[j][i] = -1
-    return GramMatrix(rows)
-
-
 class TestPastTheTables:
     """E7 and E8 in Dynkin bases (a chain with a branch at its third node):
     the most tied forms in dimensions 7 and 8, where no table applies."""
@@ -488,7 +481,7 @@ class TestPastTheTables:
         "n, largest_coord, signed_relevant", [(7, 4, 126), (8, 6, 240)]
     )
     def test_dynkin_basis_is_reduced(self, n, largest_coord, signed_relevant):
-        g = _cartan_gram(n, [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)])
+        g = named_lattice(f"E{n}")
         rep = minkowski_reduce(g)
         assert rep.iterations == 0 and rep.reduced == g
         assert is_minkowski_reduced_definitional(g) is True
@@ -507,7 +500,24 @@ class TestPastTheTables:
         assert is_minkowski_reduced_definitional(rep.reduced) is True
 
 
-E7_EDGES = [(i, i + 1) for i in range(5)] + [(2, 6)]
+class TestDynkinFixtures:
+    """The registry's D_n and E_n Cartan matrices, checked by other routes."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_d_n_is_the_gram_of_its_basis(self, n):
+        # columns e_i - e_{i+1} (i < n - 1), then e_{n-2} + e_{n-1}
+        cols = [[int(k == i) - int(k == i + 1) for k in range(n)] for i in range(n - 1)]
+        cols.append([int(k >= n - 2) for k in range(n)])
+        assert named_lattice(f"D{n}").rows == mat_product(cols, tuple(zip(*cols)))
+
+    @pytest.mark.parametrize("n, det, pairs", [(6, 3, 36), (7, 2, 63), (8, 1, 120)])
+    def test_e_n_determinant_and_roots(self, n, det, pairs):
+        g = named_lattice(f"E{n}")
+        assert frac_det_gauss(g.rows) == det
+        lam, minima = lattice_minimum(g)
+        assert lam == 2
+        assert {v for v, _ in minima.vectors} == root_orbit(g.rows)
+        assert len(minima.vectors) == pairs
 
 
 class TestReducerAgreesWithDefinitionalCheck:
@@ -530,7 +540,7 @@ class TestReducerAgreesWithDefinitionalCheck:
 
     @pytest.mark.parametrize("name", ["A2", "A3", "D4", "D5", "E6", "E7"])
     def test_skewed_root_lattices(self, name):
-        g = _cartan_gram(7, E7_EDGES) if name == "E7" else named_lattice(name)
+        g = named_lattice(name)
         rng = random.Random(name + "-agree")
         self._assert_agree(g)
         for _ in range(4):
@@ -758,7 +768,7 @@ class TestHermiteWitness:
         assert full.found
         cut = hermite_witness_search(g, budget=full.nodes - 1)
         assert not cut.found and cut.basis is None and cut.profile is None
-        assert cut.nodes == cut.budget == full.nodes - 1
+        assert cut.nodes == full.nodes - 1
         assert hermite_witness_search(g, budget=full.nodes).found
 
     def test_all_minimum_basis_never_witnessed(self):
@@ -778,7 +788,7 @@ class TestHermiteWitness:
                 g = apply_transform(random_pd_gram(rng, n), random_unimodular(rng, n, ops=2, coeff=2))
                 for form in (g, minkowski_reduce(g).reduced):
                     out = hermite_witness_search(form, budget=5000)
-                    assert out.nodes <= out.budget == 5000
+                    assert out.nodes <= 5000
                     outcomes.add(out.found)
                     if not out.found:
                         assert out.profile is None

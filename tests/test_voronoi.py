@@ -99,9 +99,9 @@ class TestRelevantVectors:
         radii = []
         core = enumeration._enumerate_core
 
-        def logged(view, bound_num, bound_den):
-            radii.append(F(bound_num, bound_den * view.den))
-            return core(view, bound_num, bound_den)
+        def logged(view, bound):
+            radii.append(F(bound, view.den))
+            return core(view, bound)
 
         monkeypatch.setattr(enumeration, "_enumerate_core", logged)
         rng = random.Random(seed + 700)
@@ -203,7 +203,7 @@ class TestRelevantVectors:
             assert len(relevant_vectors(g).vectors) == len(calls)
 
     def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(UnsupportedDimensionError, match=r"^relevant_vectors: .*, got 10$"):
             relevant_vectors(GramMatrix(identity_matrix(10)))
 
     def test_example9_count_is_basis_free(self):
@@ -260,7 +260,8 @@ class TestTable4Membership:
         g = named_lattice(name)
         assert minkowski_reduce(g).iterations == 0
         rep = check_table4_membership(g)
-        assert (rep.checked, rep.matched, rep.max_abs_coordinate) == (checked, checked, max_abs)
+        matched = rep.checked - len(rep.mismatches)
+        assert (rep.checked, matched, rep.max_abs_coordinate) == (checked, checked, max_abs)
         assert rep.all_match and rep.dimension == g.n
 
     def test_mismatches_are_reported(self, monkeypatch):
@@ -274,7 +275,8 @@ class TestTable4Membership:
         )
         rep = check_table4_membership(named_lattice("E6"))
         assert rep.mismatches and not rep.all_match
-        assert rep.matched + len(rep.mismatches) == rep.checked == 36
+        matched = sum(3 not in map(abs, v) for v in relevant_vectors(named_lattice("E6")).vectors)
+        assert matched + len(rep.mismatches) == rep.checked == 36
         assert all(3 in map(abs, v) for v, _ in rep.mismatches)
 
     @pytest.mark.parametrize("seed", range(8))
